@@ -57,8 +57,6 @@ from .solver import (
     SolverConfig,
     fit_penalized,
     kkt_residual,
-    lamm_iterate,
-    majorization_holds,
     soft_threshold,
     warm_start_expectile,
 )
@@ -97,11 +95,9 @@ __all__ = [
     "kernel_cdf",
     "kernel_density",
     "kkt_residual",
-    "lamm_iterate",
     "loss_gradient",
     "loss_hessian",
     "loss_value",
-    "majorization_holds",
     "score_statistic",
     "select_lambda",
     "select_num_factors",

@@ -7,7 +7,7 @@ is diagonal.  The number of factors is selected by the eigenvalue-ratio
 rule: the m maximizing lambda_m / lambda_{m+1}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +64,22 @@ class DataMatrix:
     def d(self):
         return self.x.shape[1]
 
+    @property
+    def spectrum(self):
+        """Read-only (eigenvalues, eigenvectors) of X X^T, computed on first use.
+
+        Cached by hand: functools.cached_property before Python 3.12 holds
+        one lock for all instances, which would serialize parallel windows.
+        Two threads racing on one matrix at worst both compute it.
+        """
+        cached = self.__dict__.get("_spectrum")
+        if cached is None:
+            cached = _leading_eigen(self.x)
+            for a in cached:
+                a.setflags(write=False)
+            object.__setattr__(self, "_spectrum", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class FactorModel:
@@ -91,22 +107,17 @@ def _leading_eigen(x):
     above the rank floor; callers check they have enough.
     """
     n, d = x.shape
-    if n <= d:
-        evals, vecs = np.linalg.eigh(x @ x.T)
-        order = np.argsort(evals)[::-1]
-        evals = np.maximum(evals[order], 0.0)
-        vecs = vecs[:, order]
-        return evals, vecs
-    evals, w = np.linalg.eigh(x.T @ x)
+    evals, vecs = np.linalg.eigh(x @ x.T if n <= d else x.T @ x)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
-    w = w[:, order]
+    vecs = vecs[:, order]
+    if n <= d:
+        return evals, vecs
     keep = evals > _RANK_RTOL * max(evals[0], 1e-300)
-    vecs = np.zeros((n, d))
+    left = np.zeros((n, d))
     if keep.any():
-        xw = x @ w[:, keep]
-        vecs[:, keep] = xw / np.sqrt(evals[keep])
-    return evals, vecs
+        left[:, keep] = x @ vecs[:, keep] / np.sqrt(evals[keep])
+    return evals, left
 
 
 def _fix_signs(vecs):
@@ -137,7 +148,7 @@ def estimate_factors(data, m):
     m = int(m)
     if not 1 <= m <= min(n, d):
         raise DimensionError(f"m must lie in [1, {min(n, d)}], got {m}")
-    evals, vecs = _leading_eigen(x)
+    evals, vecs = data.spectrum
     evals = evals[: min(n, d)]
     if evals[0] <= 0.0 or evals[m - 1] < _RANK_RTOL * evals[0]:
         raise RankDeficient(
@@ -157,12 +168,11 @@ def select_num_factors(data, m_max):
     Returns the m in [1, m_max] maximizing lambda_m / lambda_{m+1} of
     X X^T, breaking ties toward the smaller m.
     """
-    x = data.x
-    n, d = x.shape
+    n, d = data.x.shape
     m_max = int(m_max)
     if not 1 <= m_max <= min(n, d) - 1:
         raise DimensionError(f"m_max must lie in [1, {min(n, d) - 1}], got {m_max}")
-    evals = _leading_eigen(x)[0][: m_max + 1]
+    evals = data.spectrum[0][: m_max + 1]
     if evals[0] <= 0.0 or evals[m_max] < _RATIO_RTOL * evals[0]:
         raise DegenerateSpectrum(
             f"eigenvalue {m_max + 1} of X X^T is numerically zero relative to the "

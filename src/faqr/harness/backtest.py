@@ -1,16 +1,16 @@
 """Rolling-window out-of-sample evaluation.
 
 Each window refits the whole pipeline on the trailing observations and
-predicts the next one.  A new observation's factor scores are obtained
-by least-squares regression on the window's loadings,
-f_t = (B^T B)^{-1} B^T x_t, and the prediction combines them with the
-fitted coefficients as x_t^T beta + f_t^T varphi, which equals
-f_t^T gamma + (x_t - B f_t)^T beta.  Accuracy is summarized by the mean
-absolute prediction error and the out-of-sample quantile pseudo-R2
-against each window's training sample quantile.
+predicts the next one.  A new observation x_t is first centered by the
+column means the window's pipeline subtracted (zero unless the config
+centers).  Its factor scores are obtained by least-squares regression on
+the window's loadings, f_t = (B^T B)^{-1} B^T x_t, and the prediction
+combines them with the fitted coefficients as x_t^T beta + f_t^T varphi,
+which equals f_t^T gamma + (x_t - B f_t)^T beta.  Accuracy is summarized
+by the mean absolute prediction error and the out-of-sample quantile
+pseudo-R2 against each window's training sample quantile.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ from ..factor_model import DataMatrix
 from ..rng import derive_seed
 from ..smoothed_loss import check_loss
 from .pipeline import PIPELINES, PipelineConfig
+from .simulate import run_map
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ def prediction_metrics(actuals, predictions, benchmarks, tau):
 
 
 def _predict(result, x_new, method):
+    x_new = x_new - result.column_means
     fit = result.fit
     if method == "qr_plain":
         return float(x_new @ fit.theta_hat)
@@ -92,12 +94,7 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0, thre
         except FaqrError as exc:
             return t, None, f"window ending at {t}: {type(exc).__name__}: {exc}"
 
-    times = range(window, n)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(fit_window, times))
-    else:
-        fits = [fit_window(t) for t in times]
+    fits = run_map(fit_window, range(window, n), threads)
 
     predictions = np.empty(n - window)
     benchmarks = np.empty(n - window)

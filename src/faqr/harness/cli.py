@@ -10,18 +10,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from ..errors import FaqrError, InputError, NumericalError
-from ..factor_model import default_m_max, estimate_factors, select_num_factors
 from ..inference import adequacy_test_multiplier, adequacy_test_residual
-from ..smoothed_loss import KERNEL_FAMILIES, KernelSpec, default_bandwidth
+from ..smoothed_loss import KERNEL_FAMILIES
 from ..solver import SolverConfig
 from ..tuning import LambdaRule
 from . import io as hio
 from .backtest import rolling_backtest
 from .dgp import NoiseSpec, sparse_signal_spec
-from .pipeline import PipelineConfig, fit_faqr, fit_qr_plain
+from .pipeline import PipelineConfig, factor_step, fit_faqr, fit_qr_plain
 from .simulate import run_simulation
 
 
@@ -32,7 +29,7 @@ def _add_common(sub):
     sub.add_argument("--kernel", choices=KERNEL_FAMILIES, default=None,
                      help="kernel family (default gaussian)")
     sub.add_argument("--bandwidth", type=float, default=None,
-                     help="smoothing bandwidth (default: data-driven rule)")
+                     help="positive smoothing bandwidth (default: data-driven rule)")
     sub.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
 
 
@@ -54,7 +51,8 @@ def _add_lambda(sub):
 def _add_factors(sub):
     sub.add_argument("--factors", default=None,
                      help="number of factors, or 'auto' for the eigenvalue-ratio rule")
-    sub.add_argument("--m-max", type=int, default=None, help="selection bound for 'auto'")
+    sub.add_argument("--m-max", type=int, default=None,
+                     help="positive selection bound for 'auto' (default min(20, min(n, d) // 2))")
 
 
 def build_parser():
@@ -87,7 +85,12 @@ def build_parser():
     p.add_argument("--loading-seed", type=int, default=None, help="seed fixing loadings (default 20240)")
     p.add_argument("--out", default=None, help="summary CSV path (default stdout)")
 
-    p = subs.add_parser("adequacy", help="bootstrap test of the factor-only null model")
+    p = subs.add_parser(
+        "adequacy", help="bootstrap test of the factor-only null model",
+        description="Bootstrap test of the factor-only null model.  The --lambda-* "
+                    "flags apply only to --method residual, which tunes the penalty "
+                    "of its full fit; --method multiplier fits no penalized model.",
+    )
     _add_common(p); _add_data(p); _add_factors(p); _add_lambda(p)
     p.add_argument("--method", choices=("multiplier", "residual"), default=None,
                    help="bootstrap flavor (default multiplier)")
@@ -183,17 +186,9 @@ def _cmd_fit(opts):
 
 def _cmd_select_factors(opts):
     data = _load(opts)
-    if opts.get("center", False):
-        from ..factor_model import DataMatrix
-
-        data = DataMatrix(x=data.x - data.x.mean(axis=0), y=data.y,
-                          column_names=data.column_names)
-    m = _parse_factors(opts)
-    if m is None:
-        m_max = opts.get("m_max") or default_m_max(data.n, data.d)
-        m = select_num_factors(data, m_max)
-    fm = estimate_factors(data, m)
-    _emit_json(opts, hio.factor_model_json(fm))
+    config = _pipeline_config(opts, int(opts.get("seed", 0)))
+    step = factor_step(data, float(opts.get("tau", 0.5)), config)
+    _emit_json(opts, hio.factor_model_json(step.factor_model))
 
 
 def _parse_noise(raw):
@@ -233,20 +228,10 @@ def _cmd_simulate(opts):
         threads=int(opts.get("threads", 1)),
     )
     rows = hio.summary_rows(spec, tau, summaries)
-    out = opts.get("out")
-    meta = hio.metadata(seed)
-    if out is None:
-        import io as _stringio
-
-        buf = _stringio.StringIO()
-        for k in sorted(meta):
-            buf.write(f"# {k}={meta[k]}\n")
-        buf.write(",".join(hio.SUMMARY_HEADER) + "\n")
-        for row in rows:
-            buf.write(",".join(str(c) for c in row) + "\n")
-        sys.stdout.write(buf.getvalue())
-    else:
-        hio.write_matrix_csv(out, rows, header=hio.SUMMARY_HEADER, meta=meta)
+    text = hio.write_matrix_csv(opts.get("out"), rows, header=hio.SUMMARY_HEADER,
+                                meta=hio.metadata(seed))
+    if opts.get("out") is None:
+        sys.stdout.write(text)
 
 
 def _cmd_adequacy(opts):
@@ -255,20 +240,16 @@ def _cmd_adequacy(opts):
         raise InputError("adequacy requires --response")
     tau = float(opts.get("tau", 0.5))
     seed = int(opts.get("seed", 0))
-    n, d = data.x.shape
-    m = _parse_factors(opts)
-    if m is None:
-        m = select_num_factors(data, opts.get("m_max") or default_m_max(n, d))
-    fm = estimate_factors(data, m)
-    bw = opts.get("bandwidth")
-    h = float(bw) if bw is not None else default_bandwidth(n, d, m, tau)
-    kernel = KernelSpec(opts.get("kernel", "gaussian"), h)
+    config = _pipeline_config(opts, seed)
+    step = factor_step(data, tau, config)
     b = int(opts.get("reps", 500))
-    method = opts.get("method", "multiplier")
-    if method == "multiplier":
-        result = adequacy_test_multiplier(data, fm, tau, kernel, b, seed)
+    if opts.get("method", "multiplier") == "multiplier":
+        result = adequacy_test_multiplier(step.data, step.factor_model, tau, step.kernel, b, seed)
     else:
-        result = adequacy_test_residual(data, fm, tau, kernel, b, seed)
+        result = adequacy_test_residual(
+            step.data, step.factor_model, tau, step.kernel, b, seed,
+            lambda_rule=config.lambda_rule, solver_cfg=config.solver,
+        )
     _emit_json(opts, hio.adequacy_json(result, seed=seed))
     hist = opts.get("hist_out")
     if hist:

@@ -8,6 +8,7 @@ JSON; loaders skip comment lines.
 """
 
 import csv
+import io
 import json
 import math
 
@@ -123,16 +124,23 @@ def load_csv(path, response_column=None, has_header=True):
 
 
 def write_matrix_csv(path, rows, header=None, meta=None):
-    """Write rows of numbers (or strings) as CSV with optional metadata."""
-    with open(path, "w", newline="") as fh:
-        if meta:
-            for k in sorted(meta):
-                fh.write(f"# {k}={meta[k]}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    """Write rows of numbers (or strings) as CSV with optional metadata.
+
+    Returns the text; with path None nothing is written.
+    """
+    buf = io.StringIO()
+    for k in sorted(meta or {}):
+        buf.write(f"# {k}={meta[k]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    text = buf.getvalue()
+    if path is not None:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return text
 
 
 def write_json(path, obj):

@@ -1,10 +1,12 @@
 """End-to-end fitting pipelines shared by the CLI, simulations, and backtests.
 
-A pipeline run is: optional column centering, factor extraction (count
-fixed or selected by the eigenvalue ratio), smoothed-problem assembly
-with the default bandwidth rule, pivotal penalty tuning, and the
-penalized fit.  The plain variant skips the factor step and regresses
-the response on the raw columns with the same machinery.
+A pipeline run is the factor step, pivotal penalty tuning, and the
+penalized fit.  ``factor_step`` is the one place that turns a
+``PipelineConfig`` into a design: optional column centering, the factor
+count (fixed, or chosen by the eigenvalue ratio up to ``m_max``), the
+factor model, and the kernel.  The plain variant regresses the response
+on the raw columns with the same centering and bandwidth rule.  A run
+keeps the column means it subtracted, to center new rows the same way.
 """
 
 from dataclasses import dataclass, replace
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..factor_model import DataMatrix, default_m_max, estimate_factors, select_num_factors
-from ..errors import InputError
+from ..errors import DimensionError, InputError
 from ..smoothed_loss import KernelSpec, QuantileProblem, default_bandwidth
 from ..solver import SolverConfig, fit_penalized
 from ..tuning import LambdaRule, select_lambda
@@ -20,19 +22,39 @@ from ..tuning import LambdaRule, select_lambda
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a pipeline run needs besides the data and tau."""
+    """Everything a pipeline run needs besides the data and tau.
+
+    ``bandwidth``, ``num_factors`` and ``m_max`` take their data-driven
+    defaults only when None; zero is an input error, raised here rather
+    than once per window.
+    """
 
     kernel_family: str = "gaussian"
     bandwidth: float | None = None
     num_factors: int | None = None
     m_max: int | None = None
     center: bool = False
-    penalize_factors: bool = True
     lambda_rule: LambdaRule = LambdaRule()
     solver: SolverConfig = SolverConfig()
 
+    def __post_init__(self):
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise DimensionError(f"bandwidth must be a positive finite real, got {self.bandwidth}")
+        if self.m_max is not None and not self.m_max >= 1:
+            raise DimensionError(f"m_max must be at least 1, got {self.m_max}")
+        if self.num_factors is not None and not self.num_factors >= 1:
+            raise DimensionError(f"num_factors must be at least 1, got {self.num_factors}")
+
     def with_seed(self, seed):
         return replace(self, lambda_rule=replace(self.lambda_rule, seed=int(seed)))
+
+
+@dataclass(frozen=True)
+class FactorStep:
+    data: DataMatrix  # centered when the config says so
+    column_means: np.ndarray
+    factor_model: "object"
+    kernel: KernelSpec
 
 
 @dataclass(frozen=True)
@@ -41,53 +63,64 @@ class PipelineResult:
     lam: float
     factor_model: "object | None"
     problem: "object"
+    column_means: np.ndarray
 
 
-def _prepare(data, config):
+def _center(data, config):
+    """The data as fitted and the column means subtracted from it."""
+    if not config.center:
+        return data, np.zeros(data.d)
+    means = data.x.mean(axis=0)
+    return DataMatrix(x=data.x - means, y=data.y, column_names=data.column_names), means
+
+
+def _kernel(config, n, d, m, tau):
+    h = default_bandwidth(n, d, m, tau) if config.bandwidth is None else config.bandwidth
+    return KernelSpec(config.kernel_family, h)
+
+
+def _require_response(data):
     if data.y is None:
         raise InputError("pipeline fitting needs a response column")
-    x = data.x
-    if config.center:
-        x = x - x.mean(axis=0)
-        data = DataMatrix(x=x, y=data.y, column_names=data.column_names)
-    return data
+
+
+def factor_step(data, tau, config):
+    """Center, resolve the factor count, estimate the factors, pick the kernel."""
+    data, means = _center(data, config)
+    n, d = data.x.shape
+    m = config.num_factors
+    if m is None:
+        m_max = default_m_max(n, d) if config.m_max is None else config.m_max
+        m = select_num_factors(data, m_max)
+    fm = estimate_factors(data, m)
+    return FactorStep(data, means, fm, _kernel(config, n, d, fm.m, tau))
 
 
 def fit_faqr(data, tau, config=None):
     """Factor-augmented pipeline: PCA, tuning, penalized smoothed fit."""
     config = config or PipelineConfig()
-    data = _prepare(data, config)
-    n, d = data.x.shape
-    m = config.num_factors
-    if m is None:
-        m = select_num_factors(data, config.m_max or default_m_max(n, d))
-    fm = estimate_factors(data, m)
-    h = config.bandwidth or default_bandwidth(n, d, m, tau)
-    kernel = KernelSpec(config.kernel_family, h)
+    _require_response(data)
+    step = factor_step(data, tau, config)
+    fm = step.factor_model
     z = np.hstack([fm.u_hat, fm.f_hat])
-    problem = QuantileProblem(z, data.y, tau, kernel, n_factors=m)
+    problem = QuantileProblem(z, step.data.y, tau, step.kernel, n_factors=fm.m)
     lam = select_lambda(problem, config.lambda_rule)
-    if not config.penalize_factors:
-        # keep the tuning statistic as-is but drop the penalty on the
-        # dense factor coefficients
-        sigma = problem.sigma_hat.copy()
-        sigma[d:] = 0.0
-        problem = QuantileProblem(z, data.y, tau, kernel, sigma_hat=sigma, n_factors=m)
     fit = fit_penalized(problem, lam, config.solver).with_varphi(fm.b_hat)
-    return PipelineResult(fit=fit, lam=lam, factor_model=fm, problem=problem)
+    return PipelineResult(fit=fit, lam=lam, factor_model=fm, problem=problem,
+                          column_means=step.column_means)
 
 
 def fit_qr_plain(data, tau, config=None):
     """Plain pipeline: the response regressed on the raw columns."""
     config = config or PipelineConfig()
-    data = _prepare(data, config)
+    _require_response(data)
+    data, means = _center(data, config)
     n, d = data.x.shape
-    h = config.bandwidth or default_bandwidth(n, d, 0, tau)
-    kernel = KernelSpec(config.kernel_family, h)
-    problem = QuantileProblem(data.x, data.y, tau, kernel, n_factors=0)
+    problem = QuantileProblem(data.x, data.y, tau, _kernel(config, n, d, 0, tau), n_factors=0)
     lam = select_lambda(problem, config.lambda_rule)
     fit = fit_penalized(problem, lam, config.solver)
-    return PipelineResult(fit=fit, lam=lam, factor_model=None, problem=problem)
+    return PipelineResult(fit=fit, lam=lam, factor_model=None, problem=problem,
+                          column_means=means)
 
 
 PIPELINES = {"faqr": fit_faqr, "qr_plain": fit_qr_plain}

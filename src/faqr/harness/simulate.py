@@ -11,13 +11,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import InputError
-from ..factor_model import estimate_factors
 from ..inference import adequacy_test_multiplier, adequacy_test_residual
 from ..rng import derive_seed
-from ..smoothed_loss import KernelSpec, default_bandwidth
 from .dgp import generate_dgp
 from .metrics import evaluate_fit
-from .pipeline import PIPELINES, PipelineConfig
+from .pipeline import PIPELINES, PipelineConfig, factor_step
 
 # Seed derivation tags.
 _DATA = 1
@@ -49,7 +47,8 @@ class ReplicateRecord:
     converged: bool
 
 
-def _run_map(task, indices, threads):
+def run_map(task, indices, threads):
+    """task(i) for each index in order, on a thread pool when threads > 1."""
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(task, indices))
@@ -91,7 +90,7 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
             )
         return out
 
-    records = [r for chunk in _run_map(one, range(reps), threads) for r in chunk]
+    records = [r for chunk in run_map(one, range(reps), threads) for r in chunk]
     records.sort(key=lambda r: (r.rep, r.method))
     summaries = {}
     for method in methods:
@@ -149,8 +148,8 @@ def run_power_study(
     if method not in _ADEQUACY:
         raise InputError("method must be 'multiplier' or 'residual'")
     test = _ADEQUACY[method]
-    h = bandwidth or default_bandwidth(base_spec.n, base_spec.d, base_spec.m, tau)
-    kernel = KernelSpec(kernel_family, h)
+    config = PipelineConfig(kernel_family=kernel_family, bandwidth=bandwidth,
+                            num_factors=base_spec.m)
 
     points = []
     for wi, w in enumerate(w_grid):
@@ -162,11 +161,12 @@ def run_power_study(
             data, _ = generate_dgp(
                 spec_w.for_replicate(derive_seed(seed, _DATA, wi, rep))
             )
-            fm = estimate_factors(data, spec_w.m)
-            result = test(data, fm, tau, kernel, b, derive_seed(seed, _BOOT, wi, rep))
+            step = factor_step(data, tau, config)
+            result = test(step.data, step.factor_model, tau, step.kernel, b,
+                          derive_seed(seed, _BOOT, wi, rep))
             return bool(result.p_value < level)
 
-        rejects = np.array(_run_map(one, range(reps), threads), dtype=float)
+        rejects = np.array(run_map(one, range(reps), threads), dtype=float)
         rate = float(rejects.mean())
         points.append(
             PowerPoint(

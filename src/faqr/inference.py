@@ -12,7 +12,7 @@ residual bootstrap that refits the null model on resampled residuals of
 the full (penalized) model.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -212,7 +212,9 @@ def adequacy_test_residual(
     centered so its empirical tau-quantile is zero, which makes the null
     hold exactly in the bootstrap world; ``raw_residuals=True`` resamples
     them untouched.  ``project_stat=True`` uses the weighted-projected
-    columns in the replicate statistic as well.
+    columns in the replicate statistic as well.  ``lambda_rule`` sets the
+    tuning's c0, alpha and n_sim; its seed is always derived from
+    ``seed`` on a stream of its own, apart from the replicates' streams.
     """
     if data.y is None:
         raise InputError("adequacy test needs a response column")
@@ -222,7 +224,7 @@ def adequacy_test_residual(
     n = y.shape[0]
     z = np.hstack([factor.u_hat, factor.f_hat])
     problem = QuantileProblem(z, y, tau, kernel, n_factors=factor.m)
-    rule = lambda_rule or LambdaRule(seed=derive_seed(seed, _LAMBDA_STREAM))
+    rule = replace(lambda_rule or LambdaRule(), seed=derive_seed(seed, _LAMBDA_STREAM))
     lam = select_lambda(problem, rule)
     full_fit = fit_penalized(problem, lam, solver_cfg or SolverConfig())
     eps_full = y - z @ full_fit.theta_hat

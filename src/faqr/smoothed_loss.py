@@ -16,16 +16,11 @@ sample objective, and the default bandwidth rule.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import expit, ndtr
 
 from .errors import DimensionError, NonFinite, NonSmoothKernel
 
 KERNEL_FAMILIES = ("gaussian", "laplacian", "epanechnikov", "logistic", "uniform")
-
-# Families whose density is twice continuously differentiable, so the
-# Hessian of the smoothed objective is available without caveats.
-SMOOTH_FAMILIES = ("gaussian", "logistic")
 
 
 @dataclass(frozen=True)
@@ -42,10 +37,6 @@ class KernelSpec:
             )
         if not (self.h > 0 and np.isfinite(self.h)):
             raise DimensionError(f"bandwidth must be a positive finite real, got {self.h}")
-
-    @property
-    def is_smooth(self):
-        return self.family in SMOOTH_FAMILIES
 
 
 def _gauss_pdf(t):
@@ -126,27 +117,6 @@ def smoothed_check(r, tau, kernel):
     u = r / kernel.h
     out = (tau - 0.5) * r + 0.5 * kernel.h * _abs_mean(kernel, u)
     return out if out.ndim else float(out)
-
-
-def smoothed_check_by_quadrature(r, tau, kernel):
-    """Quadrature evaluation of the smoothed check loss at a scalar residual.
-
-    Validation-only reference; the closed forms above are what the solver
-    uses.  Integrates rho_tau(t) K_h(t - r) over the effective support.
-    """
-    r = float(r)
-    h = kernel.h
-    if kernel.family in ("uniform", "epanechnikov"):
-        lo, hi = r - h, r + h
-    else:
-        lo, hi = r - 45.0 * h, r + 45.0 * h
-
-    def integrand(t):
-        return check_loss(t, tau) * kernel_density(kernel, (t - r) / h) / h
-
-    pts = [0.0] if lo < 0.0 < hi else None
-    val, _ = integrate.quad(integrand, lo, hi, points=pts, limit=200)
-    return val
 
 
 def default_bandwidth(n, d, m, tau):

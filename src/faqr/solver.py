@@ -23,10 +23,11 @@ class SolverConfig:
     """Knobs of the majorize-minimize loop.
 
     phi0 is the curvature the inner loop restarts from at each outer
-    iteration (sticky_phi keeps the last accepted value instead),
-    c0_step the escalation factor, tol the l2 stopping threshold on
-    successive iterates, and huber_c overrides the warm-start cutoff
-    rule 5 * min(mad, sd) of the residuals at theta = 0.
+    iteration, c0_step the escalation factor, tol the l2 stopping
+    threshold on successive iterates, max_outer and max_inner the outer
+    iteration and curvature escalation budgets, and huber_c overrides
+    the warm-start cutoff rule 5 * min(mad, sd) of the residuals at
+    theta = 0.
 
     kkt_tol is a secondary stopping rule on the subgradient optimality
     residual.  Near the optimum the proximal map can orbit at step sizes
@@ -41,7 +42,6 @@ class SolverConfig:
     max_outer: int = 5000
     max_inner: int = 60
     huber_c: float | None = None
-    sticky_phi: bool = False
 
     def __post_init__(self):
         if not self.phi0 > 0:
@@ -110,39 +110,7 @@ def soft_threshold(v, t):
     return out if out.ndim else float(out)
 
 
-def lamm_iterate(problem, lam, theta_prev, phi):
-    """One proximal step: exact minimizer of the isotropic surrogate."""
-    if not phi > 0:
-        raise DimensionError("phi must be positive")
-    g = loss_gradient(problem, theta_prev)
-    return soft_threshold(theta_prev - g / phi, (lam / phi) * problem.sigma_hat)
-
-
-def majorization_holds(problem, theta_new, theta_prev, phi, slack=1e-12):
-    """Whether the quadratic surrogate at theta_prev dominates the loss.
-
-    The identical penalty term appears on both sides of the surrogate
-    test and cancels, so only the smooth parts are compared.
-    """
-    f_prev = loss_value(problem, theta_prev)
-    g = loss_gradient(problem, theta_prev)
-    f_new = loss_value(problem, theta_new)
-    delta = np.asarray(theta_new, dtype=float) - np.asarray(theta_prev, dtype=float)
-    surrogate = f_prev + g @ delta + 0.5 * phi * (delta @ delta)
-    return bool(surrogate >= f_new - slack)
-
-
-class _SmoothLoss:
-    """Protocol shared by the quantile and expectile smooth losses."""
-
-    def value(self, theta):
-        raise NotImplementedError
-
-    def gradient(self, theta):
-        raise NotImplementedError
-
-
-class _QuantileLoss(_SmoothLoss):
+class _QuantileLoss:
     def __init__(self, problem):
         self.problem = problem
 
@@ -153,7 +121,7 @@ class _QuantileLoss(_SmoothLoss):
         return loss_gradient(self.problem, theta)
 
 
-class _HuberExpectileLoss(_SmoothLoss):
+class _HuberExpectileLoss:
     """(1/n) sum H_c(r_i) |tau - 1{r_i < 0}| with symmetric Huber H_c."""
 
     def __init__(self, problem, c):
@@ -178,20 +146,16 @@ class _HuberExpectileLoss(_SmoothLoss):
 
 
 def _kkt_from_gradient(g, theta, lam_sigma):
-    on = theta != 0.0
-    res_on = np.abs(g[on] + lam_sigma[on] * np.sign(theta[on]))
-    res_off = np.maximum(np.abs(g[~on]) - lam_sigma[~on], 0.0)
-    worst = 0.0
-    if res_on.size:
-        worst = float(res_on.max())
-    if res_off.size:
-        worst = max(worst, float(res_off.max()))
-    return worst
+    """Max violation of the subgradient optimality conditions, given the gradient."""
+    res = np.where(theta != 0.0, np.abs(g + lam_sigma * np.sign(theta)),
+                   np.maximum(np.abs(g) - lam_sigma, 0.0))
+    return float(res.max()) if res.size else 0.0
 
 
 def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     """Run the majorize-minimize loop on a smooth loss plus l1 penalty.
 
+    ``loss`` is any object with ``value(theta)`` and ``gradient(theta)``.
     Returns (theta, outer_iters, converged, objective_trace) where the
     trace holds the penalized objective at theta0 and after each outer
     iteration.
@@ -199,12 +163,10 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     theta = np.array(theta0, dtype=float)
     f_cur = loss.value(theta)
     trace = [f_cur + float(lam_sigma @ np.abs(theta))]
-    phi = cfg.phi0
     converged = False
     outer = 0
     for outer_next in range(1, cfg.max_outer + 1):
-        if not cfg.sticky_phi:
-            phi = cfg.phi0
+        phi = cfg.phi0
         g = loss.gradient(theta)
         if _kkt_from_gradient(g, theta, lam_sigma) <= cfg.kkt_tol:
             converged = True
@@ -240,14 +202,8 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
 
 def kkt_residual(problem, theta, lam):
     """Max violation of the subgradient optimality conditions at theta."""
-    g = loss_gradient(problem, theta)
-    t = lam * problem.sigma_hat
     theta = np.asarray(theta, dtype=float)
-    on = theta != 0.0
-    res_on = np.abs(g[on] + t[on] * np.sign(theta[on]))
-    res_off = np.maximum(np.abs(g[~on]) - t[~on], 0.0)
-    pieces = np.concatenate([res_on, res_off])
-    return float(pieces.max()) if pieces.size else 0.0
+    return _kkt_from_gradient(loss_gradient(problem, theta), theta, lam * problem.sigma_hat)
 
 
 def _mad(x):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import faqr
 from faqr import (
     DimensionError,
     FaqrFit,
@@ -16,6 +20,7 @@ from faqr.harness import (
     NoiseSpec,
     PipelineConfig,
     evaluate_fit,
+    fit_faqr,
     generate_dgp,
     load_csv,
     rolling_backtest,
@@ -183,6 +188,18 @@ class TestBacktest:
         assert np.array_equal(base.predictions[:k], poisoned.predictions[:k])
         assert not np.array_equal(base.predictions, poisoned.predictions)
 
+    @pytest.mark.parametrize("method", ["faqr", "qr_plain"])
+    def test_centered_predictions_ignore_column_shifts(self, method):
+        spec = sparse_signal_spec(n=70, d=12, signal=(1.0, -1.0), gamma=(0.5,),
+                                  replicate_seed=6)
+        data, _ = generate_dgp(spec)
+        shift = np.random.default_rng(7).uniform(-3.0, 3.0, data.d)
+        cfg = PipelineConfig(num_factors=1, center=True)
+        base = rolling_backtest(data, window=50, tau=0.5, method=method, config=cfg, seed=1)
+        moved = rolling_backtest(DataMatrix(x=data.x + shift, y=data.y), window=50,
+                                 tau=0.5, method=method, config=cfg, seed=1)
+        assert np.abs(base.predictions - moved.predictions).max() <= 1e-8
+
     def test_report_invariants(self):
         spec = sparse_signal_spec(n=50, d=6, signal=(1.0,), gamma=(0.5,),
                                   replicate_seed=8)
@@ -325,6 +342,62 @@ class TestCli:
         assert doc["n_predictions"] == 30
         assert doc["pseudo_r2"] <= 1.0
 
+    @pytest.mark.parametrize("method", ["multiplier", "residual"])
+    def test_adequacy_center_cancels_column_shifts(self, csv_path, tmp_path, method):
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        rows[:, 1:] += np.random.default_rng(3).uniform(-3.0, 3.0, rows.shape[1] - 1)
+        shifted = tmp_path / "shifted.csv"
+        write_matrix_csv(shifted, rows, header=["y"] + [f"x{j}" for j in range(10)])
+        docs = []
+        for path in (csv_path, shifted):
+            out = tmp_path / "adequacy.json"
+            assert cli_main([
+                "adequacy", "--data", str(path), "--response", "y", "--center",
+                "--method", method, "--reps", "100", "--factors", "1",
+                "--seed", "7", "--out", str(out),
+            ]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert abs(docs[0]["t_n"] - docs[1]["t_n"]) <= 1e-8
+        assert abs(docs[0]["p_value"] - docs[1]["p_value"]) <= 1e-8
+
+    def _residual_adequacy(self, csv_path, tmp_path, name, extra):
+        out, hist = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert cli_main([
+            "adequacy", "--data", str(csv_path), "--response", "y",
+            "--method", "residual", "--reps", "100", "--factors", "1",
+            "--seed", "11", "--out", str(out), "--hist-out", str(hist),
+        ] + extra) == 0
+        return out.read_bytes(), hist.read_bytes()
+
+    def test_residual_adequacy_honours_lambda_flags(self, csv_path, tmp_path):
+        _, base = self._residual_adequacy(csv_path, tmp_path, "base", [])
+        _, tuned = self._residual_adequacy(csv_path, tmp_path, "c0", ["--lambda-c0", "3"])
+        assert base != tuned
+
+    def test_default_lambda_flags_change_nothing(self, csv_path, tmp_path):
+        base = self._residual_adequacy(csv_path, tmp_path, "base", [])
+        explicit = self._residual_adequacy(csv_path, tmp_path, "explicit", [
+            "--lambda-c0", "1.1", "--lambda-alpha", "0.1", "--lambda-sims", "1000",
+        ])
+        assert base == explicit
+
+    @pytest.mark.parametrize("flag", [["--bandwidth", "0"], ["--m-max", "0"], ["--factors", "0"]])
+    def test_zero_bandwidth_m_max_or_factors_exits_2(self, csv_path, flag):
+        for command in ("fit", "backtest", "adequacy", "select-factors"):
+            args = [command, "--data", str(csv_path), "--response", "y"] + flag
+            if command == "backtest":
+                args += ["--window", "55"]
+            assert cli_main(args) == 2, command
+
+    def test_import_leaves_out_scipy_integrate_and_optimize(self):
+        src = os.path.dirname(os.path.dirname(faqr.__file__))
+        code = ("import sys, faqr.harness.cli; "
+                "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_missing_file_exits_2(self, tmp_path):
         code = cli_main(["fit", "--data", str(tmp_path / "nope.csv"),
                          "--response", "y"])
@@ -364,3 +437,18 @@ class TestCli:
         assert cli_main(args + ["--out", str(out1)]) == 0
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("n, d", [(40, 60), (60, 30)])
+def test_auto_fit_decomposes_once(monkeypatch, n, d):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    data, _ = generate_dgp(sparse_signal_spec(n=n, d=d, replicate_seed=4))
+    fit_faqr(data, 0.5, PipelineConfig())
+    assert len(calls) == 1

@@ -20,9 +20,9 @@ from faqr import (
     loss_value,
     smoothed_check,
 )
-from faqr.smoothed_loss import KERNEL_FAMILIES, smoothed_check_by_quadrature
+from faqr.smoothed_loss import KERNEL_FAMILIES
 
-from oracles import fd_gradient, fd_jacobian
+from oracles import fd_gradient, fd_jacobian, smoothed_check_by_quadrature
 
 FAMILIES = list(KERNEL_FAMILIES)
 

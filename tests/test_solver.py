@@ -10,11 +10,9 @@ from faqr import (
     fit_penalized,
     kernel_cdf,
     kkt_residual,
-    lamm_iterate,
     loss_gradient,
     loss_hessian,
     loss_value,
-    majorization_holds,
     soft_threshold,
     warm_start_expectile,
 )
@@ -23,7 +21,13 @@ from faqr.factor_model import estimate_factors
 from faqr.smoothed_loss import default_bandwidth
 from faqr.tuning import LambdaRule, select_lambda
 
-from oracles import golden_section, lasso_cd_quarter, prox_grad_reference
+from oracles import (
+    golden_section,
+    lamm_iterate,
+    lasso_cd_quarter,
+    majorization_holds,
+    prox_grad_reference,
+)
 
 TIGHT = SolverConfig(tol=1e-12, kkt_tol=1e-8, max_outer=20000)
 
@@ -179,17 +183,6 @@ class TestFitPenalized:
             assert fit.converged
             assert fit.kkt_residual <= 1e-4
             assert kkt_residual(p, fit.theta_hat, fit.lam) == fit.kkt_residual
-
-    def test_sticky_phi_mode_reaches_the_same_optimum(self):
-        p = make_problem(n=60, dim=5, seed=12)
-        lam = 0.04
-        base = fit_penalized(p, lam, TIGHT)
-        sticky = fit_penalized(
-            p, lam, SolverConfig(tol=1e-12, kkt_tol=1e-8, max_outer=20000,
-                                 sticky_phi=True),
-        )
-        assert sticky.converged
-        assert np.abs(base.theta_hat - sticky.theta_hat).max() <= 1e-6
 
     def test_scale_equivariance_of_penalty(self):
         rng = np.random.default_rng(13)
