@@ -18,7 +18,6 @@ from .errors import (
     InputError,
     MissingValue,
     NonFinite,
-    NonSmoothKernel,
     NumericalError,
     ParseError,
     RankDeficient,
@@ -76,7 +75,6 @@ __all__ = [
     "LambdaRule",
     "MissingValue",
     "NonFinite",
-    "NonSmoothKernel",
     "NumericalError",
     "ParseError",
     "QuantileProblem",

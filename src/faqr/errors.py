@@ -56,10 +56,6 @@ class NonFinite(NumericalError):
     """An intermediate quantity overflowed or is not a number."""
 
 
-class NonSmoothKernel(NumericalError):
-    """Second derivatives requested at a kink of a non-smooth kernel."""
-
-
 class InnerLoopStall(NumericalError):
     """Curvature escalation never produced a majorizing surrogate."""
 

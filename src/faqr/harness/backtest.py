@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FaqrError, NumericalError, WindowTooLarge
+from ..errors import FaqrError, WindowTooLarge
 from ..factor_model import DataMatrix
 from ..rng import derive_seed
 from ..smoothed_loss import check_loss
@@ -73,8 +73,9 @@ def _predict(result, x_new, method):
 def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0, threads=1):
     """Roll a fitting window through the series and score the predictions.
 
-    A window whose fit fails numerically logs the failure and reuses the
-    most recent successful fit instead of aborting the run.
+    A window whose fit fails logs the failure and reuses the most recent
+    successful fit instead of aborting the run; when the first window
+    fails, its own error is raised.
     """
     if data.y is None:
         raise WindowTooLarge("backtesting needs a response column")
@@ -92,7 +93,7 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0, thre
         try:
             return t, pipeline(train, tau, cfg), None
         except FaqrError as exc:
-            return t, None, f"window ending at {t}: {type(exc).__name__}: {exc}"
+            return t, None, exc
 
     fits = run_map(fit_window, range(window, n), threads)
 
@@ -100,15 +101,15 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0, thre
     benchmarks = np.empty(n - window)
     failures = []
     last_good = None
-    for t, result, failure in fits:
-        if failure is not None:
-            failures.append(failure)
-            result = last_good
-        else:
+    for t, result, exc in fits:
+        if exc is None:
             last_good = result
-        if result is None:
+        elif last_good is None:
             # the first window failed and there is no earlier fit to reuse
-            raise NumericalError(failure)
+            raise exc
+        else:
+            failures.append(f"window ending at {t}: {type(exc).__name__}: {exc}")
+            result = last_good
         predictions[t - window] = _predict(result, data.x[t], method)
         benchmarks[t - window] = np.quantile(data.y[t - window : t], tau)
     actuals = data.y[window:]

@@ -11,14 +11,15 @@ import json
 import sys
 
 from ..errors import FaqrError, InputError, NumericalError
-from ..inference import adequacy_test_multiplier, adequacy_test_residual
 from ..smoothed_loss import KERNEL_FAMILIES
 from ..solver import SolverConfig
 from ..tuning import LambdaRule
 from . import io as hio
 from .backtest import rolling_backtest
 from .dgp import NoiseSpec, sparse_signal_spec
-from .pipeline import PipelineConfig, factor_step, fit_faqr, fit_qr_plain
+from .pipeline import (
+    ADEQUACY_METHODS, PipelineConfig, factor_step, fit_faqr, fit_qr_plain, run_adequacy,
+)
 from .simulate import run_simulation
 
 
@@ -92,7 +93,7 @@ def build_parser():
                     "of its full fit; --method multiplier fits no penalized model.",
     )
     _add_common(p); _add_data(p); _add_factors(p); _add_lambda(p)
-    p.add_argument("--method", choices=("multiplier", "residual"), default=None,
+    p.add_argument("--method", choices=ADEQUACY_METHODS, default=None,
                    help="bootstrap flavor (default multiplier)")
     p.add_argument("--reps", type=int, default=None, help="bootstrap replicates (default 500)")
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
@@ -236,20 +237,10 @@ def _cmd_simulate(opts):
 
 def _cmd_adequacy(opts):
     data = _load(opts)
-    if data.y is None:
-        raise InputError("adequacy requires --response")
     tau = float(opts.get("tau", 0.5))
     seed = int(opts.get("seed", 0))
-    config = _pipeline_config(opts, seed)
-    step = factor_step(data, tau, config)
-    b = int(opts.get("reps", 500))
-    if opts.get("method", "multiplier") == "multiplier":
-        result = adequacy_test_multiplier(step.data, step.factor_model, tau, step.kernel, b, seed)
-    else:
-        result = adequacy_test_residual(
-            step.data, step.factor_model, tau, step.kernel, b, seed,
-            lambda_rule=config.lambda_rule, solver_cfg=config.solver,
-        )
+    result = run_adequacy(data, tau, _pipeline_config(opts, seed), opts.get("method", "multiplier"),
+                          int(opts.get("reps", 500)), seed)
     _emit_json(opts, hio.adequacy_json(result, seed=seed))
     hist = opts.get("hist_out")
     if hist:

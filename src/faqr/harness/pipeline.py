@@ -7,6 +7,8 @@ count (fixed, or chosen by the eigenvalue ratio up to ``m_max``), the
 factor model, and the kernel.  The plain variant regresses the response
 on the raw columns with the same centering and bandwidth rule.  A run
 keeps the column means it subtracted, to center new rows the same way.
+``run_adequacy`` is the one entry to the adequacy test of the
+factor-only model: the factor step, then the chosen calibration.
 """
 
 from dataclasses import dataclass, replace
@@ -15,6 +17,7 @@ import numpy as np
 
 from ..factor_model import DataMatrix, default_m_max, estimate_factors, select_num_factors
 from ..errors import DimensionError, InputError
+from ..inference import adequacy_test_multiplier, adequacy_test_residual
 from ..smoothed_loss import KernelSpec, QuantileProblem, default_bandwidth
 from ..solver import SolverConfig, fit_penalized
 from ..tuning import LambdaRule, select_lambda
@@ -79,9 +82,9 @@ def _kernel(config, n, d, m, tau):
     return KernelSpec(config.kernel_family, h)
 
 
-def _require_response(data):
+def _require_response(data, what="pipeline fitting"):
     if data.y is None:
-        raise InputError("pipeline fitting needs a response column")
+        raise InputError(f"{what} needs a response column")
 
 
 def factor_step(data, tau, config):
@@ -124,3 +127,22 @@ def fit_qr_plain(data, tau, config=None):
 
 
 PIPELINES = {"faqr": fit_faqr, "qr_plain": fit_qr_plain}
+
+ADEQUACY_METHODS = ("multiplier", "residual")
+
+
+def run_adequacy(data, tau, config, method, b, seed):
+    """Adequacy test of the factor-only model on the config's factor step.
+
+    ``method`` picks the calibration: the multiplier bootstrap, or the
+    residual bootstrap, whose full fit uses the config's lambda rule
+    (its seed derived from ``seed``) and solver settings.
+    """
+    if method not in ADEQUACY_METHODS:
+        raise InputError(f"unknown adequacy method {method!r}; choose from {ADEQUACY_METHODS}")
+    _require_response(data, "the adequacy test")
+    step = factor_step(data, tau, config)
+    args = (step.data, step.factor_model, tau, step.kernel, b, seed)
+    if method == "multiplier":
+        return adequacy_test_multiplier(*args)
+    return adequacy_test_residual(*args, lambda_rule=config.lambda_rule, solver_cfg=config.solver)

@@ -11,11 +11,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import InputError
-from ..inference import adequacy_test_multiplier, adequacy_test_residual
 from ..rng import derive_seed
 from .dgp import generate_dgp
 from .metrics import evaluate_fit
-from .pipeline import PIPELINES, PipelineConfig, factor_step
+from .pipeline import PIPELINES, PipelineConfig, run_adequacy
 
 # Seed derivation tags.
 _DATA = 1
@@ -119,9 +118,6 @@ class PowerPoint:
     reps: int
 
 
-_ADEQUACY = {"multiplier": adequacy_test_multiplier, "residual": adequacy_test_residual}
-
-
 def run_power_study(
     base_spec,
     w_grid,
@@ -132,24 +128,23 @@ def run_power_study(
     seed=0,
     signal_coords=3,
     level=0.05,
-    kernel_family="gaussian",
-    bandwidth=None,
+    config=None,
     threads=1,
 ):
     """Rejection-rate curve of the adequacy test over signal amplitudes.
 
     The sparse coefficients are (w, ..., w, 0, ...) with ``signal_coords``
-    leading entries; w = 0 is the null.  A replicate rejects when its
-    bootstrap p-value falls strictly below ``level``.
+    leading entries; w = 0 is the null.  Each replicate runs
+    ``run_adequacy`` with ``config`` (default ``PipelineConfig()``, its
+    factor count taken from the spec when None).  A replicate rejects
+    when its bootstrap p-value falls strictly below ``level``.
     """
     w_grid = [float(w) for w in w_grid]
     if 0.0 not in w_grid:
         raise InputError("the w grid must include 0 (the null)")
-    if method not in _ADEQUACY:
-        raise InputError("method must be 'multiplier' or 'residual'")
-    test = _ADEQUACY[method]
-    config = PipelineConfig(kernel_family=kernel_family, bandwidth=bandwidth,
-                            num_factors=base_spec.m)
+    config = config or PipelineConfig()
+    if config.num_factors is None:
+        config = replace(config, num_factors=base_spec.m)
 
     points = []
     for wi, w in enumerate(w_grid):
@@ -161,9 +156,7 @@ def run_power_study(
             data, _ = generate_dgp(
                 spec_w.for_replicate(derive_seed(seed, _DATA, wi, rep))
             )
-            step = factor_step(data, tau, config)
-            result = test(step.data, step.factor_model, tau, step.kernel, b,
-                          derive_seed(seed, _BOOT, wi, rep))
+            result = run_adequacy(data, tau, config, method, b, derive_seed(seed, _BOOT, wi, rep))
             return bool(result.p_value < level)
 
         rejects = np.array(run_map(one, range(reps), threads), dtype=float)

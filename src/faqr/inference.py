@@ -9,7 +9,10 @@ a kernel-weighted inner product, and the score averages the projected
 columns against the smoothed sign of the factor-only residuals.
 Critical values come from a Gaussian multiplier bootstrap or from a
 residual bootstrap that refits the null model on resampled residuals of
-the full (penalized) model.
+the full (penalized) model.  Both calibrations share the observed side
+(input checks, the null fit and t_n) and the p-value, the share of
+replicates strictly above t_n.  ``faqr.harness.pipeline.run_adequacy``
+runs the factor step and picks the calibration from a pipeline config.
 """
 
 from dataclasses import dataclass, replace
@@ -35,6 +38,9 @@ from .tuning import LambdaRule, select_lambda
 # tuning stream from the replicate streams (which use small indices).
 _LAMBDA_STREAM = 2**31
 
+# Newton step budget of the factor-only fit.
+_NEWTON_STEPS = 200
+
 
 @dataclass(frozen=True)
 class AdequacyResult:
@@ -55,7 +61,7 @@ class AdequacyResult:
             object.__setattr__(self, name, a)
 
 
-def fit_factor_only(f_hat, y, tau, kernel, start=None, gtol=1e-9, max_iter=200):
+def fit_factor_only(f_hat, y, tau, kernel, start=None, gtol=1e-9):
     """Unpenalized smoothed quantile fit of y on the factors alone.
 
     Uses damped Newton steps with a Levenberg fallback; the dimension is
@@ -79,7 +85,7 @@ def fit_factor_only(f_hat, y, tau, kernel, start=None, gtol=1e-9, max_iter=200):
         gamma = np.array(start, dtype=float)
     val = loss_value(problem, gamma)
     mu = 0.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         g = loss_gradient(problem, gamma)
         if np.linalg.norm(g) <= gtol:
             return gamma
@@ -145,8 +151,13 @@ def score_statistic(gamma, u_star, f_hat, y, tau, kernel):
     return s, t_n
 
 
-def _null_fit_pieces(factor, y, tau, kernel):
-    """Factor-only fit, its residual kernel weights, and projected u."""
+def _observed(data, factor, tau, kernel, b):
+    """Input checks, the factor-only fit, the observed t_n and projected u."""
+    if data.y is None:
+        raise InputError("adequacy test needs a response column")
+    if b < 100:
+        raise DimensionError("use at least 100 bootstrap replicates")
+    y = data.y
     gamma0 = fit_factor_only(factor.f_hat, y, tau, kernel)
     eps0 = y - factor.f_hat @ gamma0
     w = kernel_density(kernel, -eps0 / kernel.h) / kernel.h
@@ -157,7 +168,15 @@ def _null_fit_pieces(factor, y, tau, kernel):
         raise Singular(
             f"weighted projection lost orthogonality (residual {worst:.2e})"
         )
-    return gamma0, u_star
+    _, t_n = score_statistic(gamma0, u_star, factor.f_hat, y, tau, kernel)
+    return gamma0, t_n, u_star
+
+
+def _result(method, t_n, boot, gamma0, seed):
+    return AdequacyResult(
+        t_n=t_n, boot_stats=boot, p_value=float(np.mean(boot > t_n)), method=method,
+        b=boot.shape[0], gamma_null=gamma0, seed=int(seed),
+    )
 
 
 def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
@@ -167,14 +186,8 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
     Rademacher signs; the simulated errors are normal with tau-quantile
     zero.  Replicate i draws from the stream (seed, i).
     """
-    if data.y is None:
-        raise InputError("adequacy test needs a response column")
-    if b < 100:
-        raise DimensionError("use at least 100 bootstrap replicates")
-    y = data.y
-    n = y.shape[0]
-    gamma0, u_star = _null_fit_pieces(factor, y, tau, kernel)
-    _, t_n = score_statistic(gamma0, u_star, factor.f_hat, y, tau, kernel)
+    gamma0, t_n, u_star = _observed(data, factor, tau, kernel, b)
+    n = data.y.shape[0]
     shift = -ndtri(tau)
     boot = np.empty(b)
     for i in range(b):
@@ -183,43 +196,24 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
         e = gen.normal(shift, 1.0, n)
         psi = tau - kernel_cdf(kernel, e / kernel.h)
         boot[i] = np.abs(u_star.T @ (w * psi)).max() / n
-    p_value = float(np.mean(boot > t_n))
-    return AdequacyResult(
-        t_n=t_n, boot_stats=boot, p_value=p_value, method="multiplier",
-        b=int(b), gamma_null=gamma0, seed=int(seed),
-    )
+    return _result("multiplier", t_n, boot, gamma0, seed)
 
 
-def adequacy_test_residual(
-    data,
-    factor,
-    tau,
-    kernel,
-    b,
-    seed,
-    lambda_rule=None,
-    solver_cfg=None,
-    raw_residuals=False,
-    project_stat=False,
-):
+def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None, solver_cfg=None):
     """Residual bootstrap calibration of the score test.
 
     Residuals come from the full penalized fit (factors plus
-    idiosyncratic parts, penalty level tuned internally).  Each
-    replicate resamples them, rebuilds a null-model response, refits the
-    factor-only coefficients, and recomputes the score statistic using
-    the raw idiosyncratic columns.  By default the residual pool is
-    centered so its empirical tau-quantile is zero, which makes the null
-    hold exactly in the bootstrap world; ``raw_residuals=True`` resamples
-    them untouched.  ``project_stat=True`` uses the weighted-projected
-    columns in the replicate statistic as well.  ``lambda_rule`` sets the
-    tuning's c0, alpha and n_sim; its seed is always derived from
-    ``seed`` on a stream of its own, apart from the replicates' streams.
+    idiosyncratic parts, penalty level tuned internally) and are
+    centered so their empirical tau-quantile is zero, which makes the
+    null hold exactly in the bootstrap world.  Each replicate resamples
+    them, rebuilds a null-model response, refits the factor-only
+    coefficients, and recomputes the score statistic using the raw
+    idiosyncratic columns.  ``lambda_rule`` sets the tuning's c0, alpha
+    and n_sim; its seed is always derived from ``seed`` on a stream of
+    its own, apart from the replicates' streams.
     """
-    if data.y is None:
-        raise InputError("adequacy test needs a response column")
-    if b < 100:
-        raise DimensionError("use at least 100 bootstrap replicates")
+    # u is projected for t_n only; not holding it keeps it out of the full fit's peak memory
+    gamma0, t_n = _observed(data, factor, tau, kernel, b)[:2]
     y = data.y
     n = y.shape[0]
     z = np.hstack([factor.u_hat, factor.f_hat])
@@ -229,12 +223,8 @@ def adequacy_test_residual(
     full_fit = fit_penalized(problem, lam, solver_cfg or SolverConfig())
     eps_full = y - z @ full_fit.theta_hat
 
-    gamma0, u_star = _null_fit_pieces(factor, y, tau, kernel)
-    _, t_n = score_statistic(gamma0, u_star, factor.f_hat, y, tau, kernel)
-
-    pool = eps_full if raw_residuals else eps_full - np.quantile(eps_full, tau)
+    pool = eps_full - np.quantile(eps_full, tau)
     fitted_null = factor.f_hat @ full_fit.gamma_hat
-    u_basis = u_star if project_stat else factor.u_hat
     boot = np.empty(b)
     gamma_b = full_fit.gamma_hat
     for i in range(b):
@@ -246,9 +236,5 @@ def adequacy_test_residual(
         )
         r_b = y_b - factor.f_hat @ gamma_b
         psi = tau - kernel_cdf(kernel, -r_b / kernel.h)
-        boot[i] = np.abs(u_basis.T @ psi).max() / n
-    p_value = float(np.mean(boot > t_n))
-    return AdequacyResult(
-        t_n=t_n, boot_stats=boot, p_value=p_value, method="residual",
-        b=int(b), gamma_null=gamma0, seed=int(seed),
-    )
+        boot[i] = np.abs(factor.u_hat.T @ psi).max() / n
+    return _result("residual", t_n, boot, gamma0, seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import DimensionError, NonFinite, NonSmoothKernel
+from .errors import DimensionError, NonFinite
 
 KERNEL_FAMILIES = ("gaussian", "laplacian", "epanechnikov", "logistic", "uniform")
 
@@ -215,22 +215,11 @@ def loss_gradient(problem, theta):
     return problem.z_hat.T @ psi / problem.n
 
 
-def loss_hessian(problem, theta, strict=False):
-    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective.
-
-    With ``strict=True`` the compact-support families raise
-    NonSmoothKernel when a residual sits numerically on the kernel
-    boundary, where the second derivative does not exist.
-    """
+def loss_hessian(problem, theta):
+    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective."""
     r = problem.residuals(theta)
     h = problem.kernel.h
     u = r / h
-    if strict and problem.kernel.family in ("uniform", "epanechnikov"):
-        if np.any(np.abs(np.abs(u) - 1.0) < 1e-8):
-            raise NonSmoothKernel(
-                f"{problem.kernel.family} kernel is not twice differentiable at its "
-                "support boundary; a residual sits on it"
-            )
     w = kernel_density(problem.kernel, u) / (h * problem.n)
     zw = problem.z_hat * w[:, None]
     hess = zw.T @ problem.z_hat

@@ -18,16 +18,19 @@ from .errors import DimensionError, InnerLoopStall
 from .smoothed_loss import loss_gradient, loss_value
 
 
+# Factor by which the inner loop inflates the surrogate curvature.
+_ESCALATION = 2.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the majorize-minimize loop.
 
     phi0 is the curvature the inner loop restarts from at each outer
-    iteration, c0_step the escalation factor, tol the l2 stopping
-    threshold on successive iterates, max_outer and max_inner the outer
-    iteration and curvature escalation budgets, and huber_c overrides
-    the warm-start cutoff rule 5 * min(mad, sd) of the residuals at
-    theta = 0.
+    iteration (escalated by a factor of 2 until the surrogate
+    majorizes), tol the l2 stopping threshold on successive iterates,
+    and max_outer and max_inner the outer iteration and curvature
+    escalation budgets.
 
     kkt_tol is a secondary stopping rule on the subgradient optimality
     residual.  Near the optimum the proximal map can orbit at step sizes
@@ -36,18 +39,14 @@ class SolverConfig:
     """
 
     phi0: float = 0.1
-    c0_step: float = 2.0
     tol: float = 1e-6
     kkt_tol: float = 1e-6
     max_outer: int = 5000
     max_inner: int = 60
-    huber_c: float | None = None
 
     def __post_init__(self):
         if not self.phi0 > 0:
             raise DimensionError("phi0 must be positive")
-        if not self.c0_step > 1:
-            raise DimensionError("c0_step must exceed 1")
         if not self.tol > 0:
             raise DimensionError("tol must be positive")
 
@@ -186,7 +185,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
             if surrogate >= f_new and f_new + pen_new <= f_cur + pen_cur:
                 accepted = (proposal, f_new, pen_new, delta)
                 break
-            phi *= cfg.c0_step
+            phi *= _ESCALATION
         if accepted is None:
             raise InnerLoopStall(
                 f"no majorizing curvature found after {cfg.max_inner} escalations; "
@@ -215,18 +214,15 @@ def warm_start_expectile(problem, lam, cfg=None):
     """Penalized Huberized expectile fit used as the solver warm start.
 
     The Huber cutoff is 5 * min(mad, sd) of the residuals at theta = 0,
-    computed once and frozen, unless cfg.huber_c overrides it.
+    computed once and frozen.
     """
     cfg = cfg or SolverConfig()
     if problem.n < 2:
         raise DimensionError("warm start needs n >= 2")
-    if cfg.huber_c is not None:
-        c = float(cfg.huber_c)
-    else:
-        r0 = problem.y
-        c = 5.0 * min(_mad(r0), float(np.std(r0)))
-        if c <= 0.0:
-            c = 1e-12
+    r0 = problem.y
+    c = 5.0 * min(_mad(r0), float(np.std(r0)))
+    if c <= 0.0:
+        c = 1e-12
     loss = _HuberExpectileLoss(problem, c)
     theta0 = np.zeros(problem.dim)
     theta, _, _, _ = _lamm_minimize(loss, theta0, lam * problem.sigma_hat, cfg)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,13 @@ from faqr.harness import (
     run_simulation,
     sparse_signal_spec,
 )
+from faqr.harness import simulate
 from faqr.harness.backtest import prediction_metrics
 from faqr.harness.dgp import DgpSpec, DgpTruth
 from faqr.harness.io import write_matrix_csv
 from faqr.harness.cli import main as cli_main
+from faqr.harness.pipeline import run_adequacy
+from faqr.rng import derive_seed
 
 
 def dummy_fit(beta, m=0):
@@ -151,6 +155,27 @@ class TestRunPowerStudy:
         with pytest.raises(InputError):
             run_power_study(spec, [0.1, 0.2], reps=1, b=100)
 
+    def test_config_reaches_the_replicates(self):
+        spec = sparse_signal_spec(n=60, d=15, replicate_seed=7)
+        config = PipelineConfig(kernel_family="logistic")
+        # the single null replicate, rerun by hand through the pipeline
+        spec_0 = spec.for_replicate(derive_seed(1, simulate._DATA, 0, 0))
+        data, _ = generate_dgp(replace(spec_0, beta_star=np.zeros(spec.d)))
+        direct = run_adequacy(data, 0.5, replace(config, num_factors=spec.m), "residual",
+                              100, derive_seed(1, simulate._BOOT, 0, 0))
+        for level, rate in ((direct.p_value, 0.0), (direct.p_value + 1e-9, 1.0)):
+            pts = run_power_study(spec, [0.0], reps=1, b=100, method="residual", seed=1,
+                                  level=level, config=config)
+            assert pts[0].rejection_rate == rate
+
+    def test_unknown_method_is_an_input_error(self):
+        spec = sparse_signal_spec(n=60, d=15, replicate_seed=7)
+        data, _ = generate_dgp(spec)
+        with pytest.raises(InputError):
+            run_adequacy(data, 0.5, PipelineConfig(), "jackknife", 100, 0)
+        with pytest.raises(InputError):
+            run_power_study(spec, [0.0], reps=1, b=100, method="jackknife")
+
 
 class TestBacktest:
     def test_metric_identities(self):
@@ -199,6 +224,18 @@ class TestBacktest:
         moved = rolling_backtest(DataMatrix(x=data.x + shift, y=data.y), window=50,
                                  tau=0.5, method=method, config=cfg, seed=1)
         assert np.abs(base.predictions - moved.predictions).max() <= 1e-8
+
+    def test_first_window_failure_keeps_its_error_class(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((40, 5))
+        x[:20, 0] = 1.0  # constant over the first window only
+        y = x[:, 1] + rng.standard_normal(40)
+        with pytest.raises(DimensionError):
+            rolling_backtest(DataMatrix(x=x, y=y), window=20, tau=0.5, method="qr_plain")
+        path = tmp_path / "constant.csv"
+        write_matrix_csv(path, np.column_stack([y, x]), header=["y"] + [f"x{j}" for j in range(5)])
+        assert cli_main(["backtest", "--data", str(path), "--response", "y",
+                         "--window", "20", "--method", "qr_plain"]) == 2
 
     def test_report_invariants(self):
         spec = sparse_signal_spec(n=50, d=6, signal=(1.0,), gamma=(0.5,),
@@ -359,6 +396,26 @@ class TestCli:
             docs.append(json.loads(out.read_text()))
         assert abs(docs[0]["t_n"] - docs[1]["t_n"]) <= 1e-8
         assert abs(docs[0]["p_value"] - docs[1]["p_value"]) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["multiplier", "residual"])
+    def test_adequacy_matches_the_pipeline(self, csv_path, tmp_path, method):
+        out = tmp_path / "adequacy.json"
+        assert cli_main([
+            "adequacy", "--data", str(csv_path), "--response", "y",
+            "--method", method, "--reps", "100", "--seed", "9", "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        res = run_adequacy(load_csv(csv_path, response_column="y"), 0.5, PipelineConfig(),
+                           method, 100, 9)
+        assert doc["t_n"] == res.t_n
+        assert doc["p_value"] == res.p_value
+        assert doc["gamma_null"] == res.gamma_null.tolist()
+
+    def test_unknown_adequacy_method_in_config_file_exits_2(self, csv_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "jackknife"}))
+        assert cli_main(["adequacy", "--data", str(csv_path), "--response", "y",
+                         "--reps", "100", "--config", str(cfg)]) == 2
 
     def _residual_adequacy(self, csv_path, tmp_path, name, extra):
         out, hist = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"

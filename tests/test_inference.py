@@ -217,12 +217,3 @@ class TestAdequacyTests:
             np.abs(pvals - (np.arange(500) / 500)).max(),
         )
         assert ks <= 0.08
-
-    def test_project_stat_and_raw_residual_flags(self):
-        data, fm, k = benchmark_pieces(n=80, d=25, seed=14)
-        base = adequacy_test_residual(data, fm, 0.5, k, 100, seed=5)
-        proj = adequacy_test_residual(data, fm, 0.5, k, 100, seed=5, project_stat=True)
-        raw = adequacy_test_residual(data, fm, 0.5, k, 100, seed=5, raw_residuals=True)
-        assert not np.array_equal(base.boot_stats, proj.boot_stats)
-        assert not np.array_equal(base.boot_stats, raw.boot_stats)
-        assert base.t_n == proj.t_n == raw.t_n  # observed statistic unchanged

@@ -9,7 +9,6 @@ from faqr import (
     DimensionError,
     KernelSpec,
     NonFinite,
-    NonSmoothKernel,
     QuantileProblem,
     check_loss,
     default_bandwidth,
@@ -202,17 +201,6 @@ class TestLossHessian:
         hess = loss_hessian(p, theta)
         ref = fd_jacobian(lambda t: loss_gradient(p, t), theta)
         assert np.abs(hess - ref).max() <= 1e-5
-
-    def test_strict_mode_flags_boundary_residuals(self):
-        h = 0.5
-        z = np.ones((3, 1))
-        y = np.array([0.1, h, -0.2])  # middle residual exactly on the support edge
-        p = QuantileProblem(z, y, 0.5, KernelSpec("uniform", h), sigma_hat=np.ones(1))
-        with pytest.raises(NonSmoothKernel):
-            loss_hessian(p, np.zeros(1), strict=True)
-        loss_hessian(p, np.zeros(1))  # non-strict evaluates fine
-        p2 = QuantileProblem(z, y, 0.5, KernelSpec("gaussian", h), sigma_hat=np.ones(1))
-        loss_hessian(p2, np.zeros(1), strict=True)
 
 
 class TestDefaultBandwidth:
