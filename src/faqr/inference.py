@@ -34,9 +34,10 @@ from .smoothed_loss import (
 from .solver import SolverConfig, fit_penalized
 from .tuning import LambdaRule, select_lambda
 
-# Purpose tag separating the residual bootstrap's internal penalty
-# tuning stream from the replicate streams (which use small indices).
-_LAMBDA_STREAM = 2**31
+# Purpose tags under a test's seed: the bootstrap replicates' one stream,
+# and the seed of the residual bootstrap's internal penalty tuning.
+_BOOTSTRAP = 0
+_LAMBDA = 1
 
 # Newton step budget of the factor-only fit.
 _NEWTON_STEPS = 200
@@ -184,14 +185,15 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
 
     Each replicate reweights simulated score contributions with
     Rademacher signs; the simulated errors are normal with tau-quantile
-    zero.  Replicate i draws from the stream (seed, i).
+    zero.  All replicates draw from the one stream (seed, bootstrap
+    tag), replicate i after replicate i - 1.
     """
     gamma0, t_n, u_star = _observed(data, factor, tau, kernel, b)
     n = data.y.shape[0]
     shift = -ndtri(tau)
     boot = np.empty(b)
+    gen = stream(seed, _BOOTSTRAP)
     for i in range(b):
-        gen = stream(seed, i)
         w = 2.0 * gen.integers(0, 2, n) - 1.0
         e = gen.normal(shift, 1.0, n)
         psi = tau - kernel_cdf(kernel, e / kernel.h)
@@ -209,8 +211,9 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None,
     them, rebuilds a null-model response, refits the factor-only
     coefficients, and recomputes the score statistic using the raw
     idiosyncratic columns.  ``lambda_rule`` sets the tuning's c0, alpha
-    and n_sim; its seed is always derived from ``seed`` on a stream of
-    its own, apart from the replicates' streams.
+    and n_sim; its seed is always derived from ``seed`` under a purpose
+    tag of its own.  The replicates draw their resampling indices from
+    the one stream (seed, bootstrap tag), in replicate order.
     """
     # u is projected for t_n only; not holding it keeps it out of the full fit's peak memory
     gamma0, t_n = _observed(data, factor, tau, kernel, b)[:2]
@@ -218,7 +221,7 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None,
     n = y.shape[0]
     z = np.hstack([factor.u_hat, factor.f_hat])
     problem = QuantileProblem(z, y, tau, kernel, n_factors=factor.m)
-    rule = replace(lambda_rule or LambdaRule(), seed=derive_seed(seed, _LAMBDA_STREAM))
+    rule = replace(lambda_rule or LambdaRule(), seed=derive_seed(seed, _LAMBDA))
     lam = select_lambda(problem, rule)
     full_fit = fit_penalized(problem, lam, solver_cfg or SolverConfig())
     eps_full = y - z @ full_fit.theta_hat
@@ -227,8 +230,8 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None,
     fitted_null = factor.f_hat @ full_fit.gamma_hat
     boot = np.empty(b)
     gamma_b = full_fit.gamma_hat
+    gen = stream(seed, _BOOTSTRAP)
     for i in range(b):
-        gen = stream(seed, i)
         idx = gen.integers(0, n, n)
         y_b = fitted_null + pool[idx]
         gamma_b = fit_factor_only(

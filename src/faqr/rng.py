@@ -1,18 +1,22 @@
 """Deterministic random streams.
 
-Every randomized routine in the package derives its generator from a user
-seed plus an integer path (replicate index, purpose tag, ...) using
-numpy's SeedSequence spawn keys on top of the counter-based Philox
-engine.  A given (seed, path) pair yields the same stream no matter in
-which order, or on how many threads, the tasks run; that is what makes
+Every randomized routine in the package draws from one stream per
+(seed, purpose): numpy's SeedSequence, keyed by a user seed and an
+integer purpose tag, seeds the counter-based Philox engine, and the
+routine takes all of that purpose's draws from the stream in a fixed
+order, never building a stream per draw.  Tasks that may run in
+parallel (simulation replicates, backtest windows) get child seeds from
+``derive_seed``, so each result depends on its seed alone, not on the
+order or the number of threads the tasks run on; that is what makes
 Monte Carlo runs reproducible and parallelizable at the same time.
 """
 
 import numpy as np
 
 # Recorded in every randomized output so results can be reproduced by
-# other tooling that speaks numpy's bit-generator names.
-ALGORITHM = "philox4x64-10+seedseq"
+# other tooling that speaks numpy's bit-generator names; the suffix is
+# the version of the stream layout above.
+ALGORITHM = "philox4x64-10+seedseq/v2"
 
 
 def stream(seed, *path):
@@ -23,7 +27,7 @@ def stream(seed, *path):
     seed : int
         Non-negative 64-bit user seed.
     *path : int
-        Integer path components, e.g. a replicate index or a purpose tag.
+        Integer path components, e.g. a purpose tag.
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))

@@ -44,19 +44,16 @@ class LambdaRule:
 def simulate_pivotal(problem, rule):
     """Simulated draws of the pivotal statistic, one per replicate.
 
-    Replicate b draws its uniforms from the stream (rule.seed, b), so
-    each draw is reproducible in isolation and the full vector is
-    independent of evaluation order.
+    The whole (n_sim, n) block of uniforms comes from the one stream
+    ``stream(rule.seed)`` in a single call, row b holding replicate b's
+    draws; the block is turned into signs tau - 1{e <= tau} in place.
     """
     if np.any(problem.sigma_hat <= 0):
         raise DimensionError("pivotal simulation requires strictly positive sigma_hat")
     zs = problem.z_hat / problem.sigma_hat
-    n = problem.n
     tau = problem.tau
-    signs = np.empty((rule.n_sim, n))
-    for b in range(rule.n_sim):
-        e = stream(rule.seed, b).random(n)
-        signs[b] = tau - (e <= tau)
+    signs = stream(rule.seed).random((rule.n_sim, problem.n))
+    np.subtract(tau, signs <= tau, out=signs)
     return np.abs(signs @ zs).max(axis=1)
 
 

@@ -299,18 +299,21 @@ def test_criterion_8_oracle_equivalences():
     ok &= solver_err <= 1e-4
     lines.append(f"solver vs prox-grad {solver_err:.1e}")
 
-    # pivotal simulation vs an independent straight-loop re-implementation
+    # pivotal simulation vs an independent re-implementation on another bit
+    # generator.  The reference takes 10**6 draws, so its own Monte Carlo
+    # error (about 0.04%) is small against the 1% bound; a 10**4-draw
+    # quantile is off by about 0.4% (one standard error) on its own.
     zq = rng.standard_normal((50, 10))
     pq = QuantileProblem(zq, np.zeros(50), 0.5, KernelSpec("gaussian", 0.3),
                          n_factors=0)
     ours = np.quantile(simulate_pivotal(pq, LambdaRule(seed=7, n_sim=10**4)), 0.9)
     zs = pq.z_hat / pq.sigma_hat
     gen = np.random.Generator(np.random.PCG64(424242))
-    draws = np.empty(10**4)
-    for b in range(10**4):
-        e = gen.random(50)
-        draws[b] = np.abs((0.5 - (e <= 0.5)) @ zs).max()
-    ref_q = np.quantile(draws, 0.9)
+    draws = []
+    for _ in range(100):
+        e = gen.random((10**4, 50))
+        draws.append(np.abs((0.5 - (e <= 0.5)) @ zs).max(axis=1))
+    ref_q = np.quantile(np.concatenate(draws), 0.9)
     tune_err = abs(ours - ref_q) / ref_q
     ok &= tune_err <= 0.01
     lines.append(f"pivotal 0.9-quantile rel err {tune_err:.4f}")

@@ -495,6 +495,25 @@ class TestCli:
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_backtest_bytes_do_not_depend_on_threads(self, csv_path, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"bt{threads}.json"
+            assert cli_main([
+                "backtest", "--data", str(csv_path), "--response", "y", "--window", "45",
+                "--seed", "4", "--threads", threads, "--out", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        docs = {"backtest": json.loads(outs[0])}
+        for command, extra in (("fit", []), ("adequacy", ["--reps", "100"])):
+            out = tmp_path / f"{command}.json"
+            assert cli_main([command, "--data", str(csv_path), "--response", "y",
+                             "--seed", "4", "--out", str(out)] + extra) == 0
+            docs[command] = json.loads(out.read_text())
+        assert {c: doc["meta"]["rng"] for c, doc in docs.items()} == dict.fromkeys(
+            docs, faqr.rng.ALGORITHM)
+
 
 @pytest.mark.parametrize("n, d", [(40, 60), (60, 30)])
 def test_auto_fit_decomposes_once(monkeypatch, n, d):

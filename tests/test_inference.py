@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import faqr.inference
+import faqr.tuning
 from faqr import (
     FactorModel,
     KernelSpec,
@@ -163,6 +165,25 @@ class TestAdequacyTests:
         assert np.array_equal(r1.boot_stats, r2.boot_stats)
         assert r1.p_value == r2.p_value
         assert r1.method == "residual"
+
+    @pytest.mark.parametrize("test", [adequacy_test_multiplier, adequacy_test_residual])
+    def test_stream_count_does_not_grow_with_b(self, monkeypatch, test):
+        data, fm, k = benchmark_pieces(n=60, d=15, seed=14)
+        calls = []
+        stream = faqr.inference.stream
+
+        def counting_stream(*args):
+            calls.append(args)
+            return stream(*args)
+
+        for module in (faqr.inference, faqr.tuning):
+            monkeypatch.setattr(module, "stream", counting_stream)
+        counts = []
+        for b in (100, 400):
+            calls.clear()
+            test(data, fm, 0.5, k, b, seed=5)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1
 
     def test_degenerate_zero_columns(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import faqr.tuning
 from faqr import DimensionError, KernelSpec, LambdaRule, QuantileProblem, select_lambda, simulate_pivotal
 
 
@@ -55,6 +56,15 @@ class TestSimulatePivotal:
         ref = np.quantile(oracle_draws, 0.9)
         assert abs(ours - ref) <= 0.01 * ref
 
+    def test_matches_a_per_row_loop_on_the_same_block(self):
+        p = make_problem(n=40, dim=6, tau=0.3, seed=5)
+        rule = LambdaRule(seed=13, n_sim=150)
+        u = faqr.tuning.stream(rule.seed).random((rule.n_sim, p.n))
+        zs = p.z_hat / p.sigma_hat
+        signs = np.array([p.tau - (row <= p.tau) for row in u])
+        ref = np.abs(signs @ zs).max(axis=1)  # one GEMM, as per-row products round differently
+        assert np.array_equal(simulate_pivotal(p, rule), ref)
+
     def test_requires_positive_sigma(self):
         p = QuantileProblem(
             np.ones((4, 1)), np.zeros(4), 0.5, KernelSpec("gaussian", 1.0),
@@ -89,6 +99,19 @@ class TestSelectLambda:
         low = select_lambda(p, LambdaRule(seed=5, c0=1.05, n_sim=400))
         high = select_lambda(p, LambdaRule(seed=5, c0=2.0, n_sim=400))
         assert low < high
+
+    @pytest.mark.parametrize("n_sim", [100, 4000])
+    def test_one_stream_per_call(self, monkeypatch, n_sim):
+        calls = []
+        stream = faqr.tuning.stream
+
+        def counting_stream(*args):
+            calls.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(faqr.tuning, "stream", counting_stream)
+        select_lambda(make_problem(seed=6), LambdaRule(seed=17, n_sim=n_sim))
+        assert calls == [(17,)]
 
     def test_deterministic_bit_for_bit(self):
         p = make_problem(seed=6)
