@@ -8,6 +8,7 @@ rule: the m maximizing lambda_m / lambda_{m+1}.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,21 +65,13 @@ class DataMatrix:
     def d(self):
         return self.x.shape[1]
 
-    @property
+    @cached_property
     def spectrum(self):
-        """Read-only (eigenvalues, eigenvectors) of X X^T, computed on first use.
-
-        Cached by hand: functools.cached_property before Python 3.12 holds
-        one lock for all instances, which would serialize parallel windows.
-        Two threads racing on one matrix at worst both compute it.
-        """
-        cached = self.__dict__.get("_spectrum")
-        if cached is None:
-            cached = _leading_eigen(self.x)
-            for a in cached:
-                a.setflags(write=False)
-            object.__setattr__(self, "_spectrum", cached)
-        return cached
+        """Read-only (eigenvalues, eigenvectors) of X X^T, computed on first use."""
+        evals, vecs = _leading_eigen(self.x)
+        evals.setflags(write=False)
+        vecs.setflags(write=False)
+        return evals, vecs
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from ..factor_model import DataMatrix
 from ..rng import derive_seed
 from ..smoothed_loss import check_loss
 from .pipeline import PIPELINES, PipelineConfig
-from .simulate import run_map
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def _predict(result, x_new, method):
     return float(x_new @ fit.beta_hat + f_new @ fit.varphi_hat)
 
 
-def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0, threads=1):
+def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0):
     """Roll a fitting window through the series and score the predictions.
 
     A window whose fit fails logs the failure and reuses the most recent
@@ -86,32 +85,22 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0, thre
     config = config or PipelineConfig()
     pipeline = PIPELINES[method]
 
-    def fit_window(t):
-        rows = slice(t - window, t)
-        train = DataMatrix(x=data.x[rows], y=data.y[rows])
-        cfg = config.with_seed(derive_seed(seed, t))
-        try:
-            return t, pipeline(train, tau, cfg), None
-        except FaqrError as exc:
-            return t, None, exc
-
-    fits = run_map(fit_window, range(window, n), threads)
-
     predictions = np.empty(n - window)
     benchmarks = np.empty(n - window)
     failures = []
     last_good = None
-    for t, result, exc in fits:
-        if exc is None:
-            last_good = result
-        elif last_good is None:
-            # the first window failed and there is no earlier fit to reuse
-            raise exc
-        else:
+    for t in range(window, n):
+        rows = slice(t - window, t)
+        train = DataMatrix(x=data.x[rows], y=data.y[rows])
+        try:
+            last_good = pipeline(train, tau, config.with_seed(derive_seed(seed, t)))
+        except FaqrError as exc:
+            if last_good is None:
+                # the first window failed and there is no earlier fit to reuse
+                raise
             failures.append(f"window ending at {t}: {type(exc).__name__}: {exc}")
-            result = last_good
-        predictions[t - window] = _predict(result, data.x[t], method)
-        benchmarks[t - window] = np.quantile(data.y[t - window : t], tau)
+        predictions[t - window] = _predict(last_good, data.x[t], method)
+        benchmarks[t - window] = np.quantile(train.y, tau)
     actuals = data.y[window:]
     mape, pseudo_r2 = prediction_metrics(actuals, predictions, benchmarks, tau)
     return BacktestReport(

@@ -12,7 +12,6 @@ import sys
 
 from ..errors import FaqrError, InputError, NumericalError
 from ..smoothed_loss import KERNEL_FAMILIES
-from ..solver import SolverConfig
 from ..tuning import LambdaRule
 from . import io as hio
 from .backtest import rolling_backtest
@@ -31,7 +30,8 @@ def _add_common(sub):
                      help="kernel family (default gaussian)")
     sub.add_argument("--bandwidth", type=float, default=None,
                      help="positive smoothing bandwidth (default: data-driven rule)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="accepted for compatibility; has no effect (every job runs serially)")
 
 
 def _add_data(sub):
@@ -157,7 +157,6 @@ def _pipeline_config(opts, seed):
         m_max=opts.get("m_max"),
         center=bool(opts.get("center", False)),
         lambda_rule=_lambda_rule(opts, seed),
-        solver=SolverConfig(),
     )
 
 
@@ -226,7 +225,6 @@ def _cmd_simulate(opts):
         methods=methods,
         tau=tau,
         config=config,
-        threads=int(opts.get("threads", 1)),
     )
     rows = hio.summary_rows(spec, tau, summaries)
     text = hio.write_matrix_csv(opts.get("out"), rows, header=hio.SUMMARY_HEADER,
@@ -264,7 +262,6 @@ def _cmd_backtest(opts):
         method=opts.get("method", "faqr"),
         config=config,
         seed=seed,
-        threads=int(opts.get("threads", 1)),
     )
     _emit_json(opts, hio.backtest_json(report, seed=seed))
 

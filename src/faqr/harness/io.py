@@ -189,7 +189,6 @@ def fit_json(result, seed=None, lambda_rule=None):
             "alpha": lambda_rule.alpha,
             "n_sim": lambda_rule.n_sim,
             "seed": lambda_rule.seed,
-            "normalize": lambda_rule.normalize,
         }
     return out
 

@@ -19,7 +19,7 @@ from ..factor_model import DataMatrix, default_m_max, estimate_factors, select_n
 from ..errors import DimensionError, InputError
 from ..inference import adequacy_test_multiplier, adequacy_test_residual
 from ..smoothed_loss import KernelSpec, QuantileProblem, default_bandwidth
-from ..solver import SolverConfig, fit_penalized
+from ..solver import fit_penalized
 from ..tuning import LambdaRule, select_lambda
 
 
@@ -38,7 +38,6 @@ class PipelineConfig:
     m_max: int | None = None
     center: bool = False
     lambda_rule: LambdaRule = LambdaRule()
-    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
@@ -108,7 +107,7 @@ def fit_faqr(data, tau, config=None):
     z = np.hstack([fm.u_hat, fm.f_hat])
     problem = QuantileProblem(z, step.data.y, tau, step.kernel, n_factors=fm.m)
     lam = select_lambda(problem, config.lambda_rule)
-    fit = fit_penalized(problem, lam, config.solver).with_varphi(fm.b_hat)
+    fit = fit_penalized(problem, lam).with_varphi(fm.b_hat)
     return PipelineResult(fit=fit, lam=lam, factor_model=fm, problem=problem,
                           column_means=step.column_means)
 
@@ -121,7 +120,7 @@ def fit_qr_plain(data, tau, config=None):
     n, d = data.x.shape
     problem = QuantileProblem(data.x, data.y, tau, _kernel(config, n, d, 0, tau), n_factors=0)
     lam = select_lambda(problem, config.lambda_rule)
-    fit = fit_penalized(problem, lam, config.solver)
+    fit = fit_penalized(problem, lam)
     return PipelineResult(fit=fit, lam=lam, factor_model=None, problem=problem,
                           column_means=means)
 
@@ -136,7 +135,7 @@ def run_adequacy(data, tau, config, method, b, seed):
 
     ``method`` picks the calibration: the multiplier bootstrap, or the
     residual bootstrap, whose full fit uses the config's lambda rule
-    (its seed derived from ``seed``) and solver settings.
+    (its seed derived from ``seed``).
     """
     if method not in ADEQUACY_METHODS:
         raise InputError(f"unknown adequacy method {method!r}; choose from {ADEQUACY_METHODS}")
@@ -145,4 +144,4 @@ def run_adequacy(data, tau, config, method, b, seed):
     args = (step.data, step.factor_model, tau, step.kernel, b, seed)
     if method == "multiplier":
         return adequacy_test_multiplier(*args)
-    return adequacy_test_residual(*args, lambda_rule=config.lambda_rule, solver_cfg=config.solver)
+    return adequacy_test_residual(*args, lambda_rule=config.lambda_rule)

@@ -1,11 +1,10 @@
 """Monte Carlo drivers: estimation accuracy and test size/power.
 
-Replicates run on a thread pool with per-task derived seeds, so results
-are identical for any thread count; summaries are computed after a
-deterministic sort by replicate index.
+Replicates run one after another, each from seeds derived from the study
+seed and its own index, so a replicate's result does not depend on the
+others; summaries are computed over the records in replicate order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,15 +45,7 @@ class ReplicateRecord:
     converged: bool
 
 
-def run_map(task, indices, threads):
-    """task(i) for each index in order, on a thread pool when threads > 1."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task, indices))
-    return [task(i) for i in indices]
-
-
-def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=None, threads=1):
+def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=None):
     """Estimation-accuracy study over independent replicates.
 
     Each replicate generates fresh data (loadings held fixed by the
@@ -71,26 +62,22 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
     if base.num_factors is None:
         base = replace(base, num_factors=spec.m)
 
-    def one(rep):
+    records = []
+    for rep in range(reps):
         data, truth = generate_dgp(
             spec.for_replicate(derive_seed(spec.replicate_seed, _DATA, rep))
         )
-        out = []
         for mi, method in enumerate(methods):
             cfg = base.with_seed(derive_seed(spec.replicate_seed, _TUNE, rep, mi))
             res = PIPELINES[method](data, tau, cfg)
             rpt = evaluate_fit(res.fit, truth)
-            out.append(
+            records.append(
                 ReplicateRecord(
                     rep=rep, method=method, l1_error=rpt.l1_error, tpr=rpt.tpr,
                     fpr=rpt.fpr, lam=res.lam, n_iters=res.fit.n_outer_iters,
                     converged=res.fit.converged,
                 )
             )
-        return out
-
-    records = [r for chunk in run_map(one, range(reps), threads) for r in chunk]
-    records.sort(key=lambda r: (r.rep, r.method))
     summaries = {}
     for method in methods:
         rows = [r for r in records if r.method == method]
@@ -129,7 +116,6 @@ def run_power_study(
     signal_coords=3,
     level=0.05,
     config=None,
-    threads=1,
 ):
     """Rejection-rate curve of the adequacy test over signal amplitudes.
 
@@ -152,15 +138,14 @@ def run_power_study(
         beta_w[:signal_coords] = w
         spec_w = replace(base_spec, beta_star=beta_w)
 
-        def one(rep, spec_w=spec_w, wi=wi):
+        rejects = 0
+        for rep in range(reps):
             data, _ = generate_dgp(
                 spec_w.for_replicate(derive_seed(seed, _DATA, wi, rep))
             )
             result = run_adequacy(data, tau, config, method, b, derive_seed(seed, _BOOT, wi, rep))
-            return bool(result.p_value < level)
-
-        rejects = np.array(run_map(one, range(reps), threads), dtype=float)
-        rate = float(rejects.mean())
+            rejects += result.p_value < level
+        rate = rejects / reps
         points.append(
             PowerPoint(
                 w=w,

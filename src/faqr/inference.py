@@ -31,7 +31,7 @@ from .smoothed_loss import (
     loss_hessian,
     loss_value,
 )
-from .solver import SolverConfig, fit_penalized
+from .solver import fit_penalized
 from .tuning import LambdaRule, select_lambda
 
 # Purpose tags under a test's seed: the bootstrap replicates' one stream,
@@ -201,7 +201,7 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
     return _result("multiplier", t_n, boot, gamma0, seed)
 
 
-def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None, solver_cfg=None):
+def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None):
     """Residual bootstrap calibration of the score test.
 
     Residuals come from the full penalized fit (factors plus
@@ -223,7 +223,7 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None,
     problem = QuantileProblem(z, y, tau, kernel, n_factors=factor.m)
     rule = replace(lambda_rule or LambdaRule(), seed=derive_seed(seed, _LAMBDA))
     lam = select_lambda(problem, rule)
-    full_fit = fit_penalized(problem, lam, solver_cfg or SolverConfig())
+    full_fit = fit_penalized(problem, lam)
     eps_full = y - z @ full_fit.theta_hat
 
     pool = eps_full - np.quantile(eps_full, tau)

@@ -4,11 +4,11 @@ Every randomized routine in the package draws from one stream per
 (seed, purpose): numpy's SeedSequence, keyed by a user seed and an
 integer purpose tag, seeds the counter-based Philox engine, and the
 routine takes all of that purpose's draws from the stream in a fixed
-order, never building a stream per draw.  Tasks that may run in
-parallel (simulation replicates, backtest windows) get child seeds from
+order, never building a stream per draw.  Independent tasks
+(simulation replicates, backtest windows) get child seeds from
 ``derive_seed``, so each result depends on its seed alone, not on the
-order or the number of threads the tasks run on; that is what makes
-Monte Carlo runs reproducible and parallelizable at the same time.
+tasks run before it; that is what makes a Monte Carlo run reproducible
+replicate by replicate.
 """
 
 import numpy as np

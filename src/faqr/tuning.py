@@ -9,7 +9,7 @@ does not depend on unknown model parameters.  The selected level is
 c0 times the empirical (1-alpha)-quantile of simulated draws of L and,
 because the package's objective carries a 1/n factor while L sums over
 i, the quantile is divided by n to put the penalty on the objective's
-scale (``normalize=False`` restores the literal unnormalized reading).
+scale.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ class LambdaRule:
     alpha: float = 0.1
     n_sim: int = 1000
     seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         if not self.c0 > 1:
@@ -67,5 +66,4 @@ def select_lambda(problem, rule=None):
     draws = np.sort(simulate_pivotal(problem, rule))
     k = min(rule.n_sim, max(1, math.ceil((1.0 - rule.alpha) * rule.n_sim)))
     q = draws[k - 1]
-    scale = problem.n if rule.normalize else 1
-    return float(rule.c0 * q / scale)
+    return float(rule.c0 * q / problem.n)

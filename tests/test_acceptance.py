@@ -47,7 +47,6 @@ from oracles import (
     prox_grad_reference,
 )
 
-THREADS = 2
 REPS = 100
 FULL_SIZE_STUDY = os.environ.get("FAQR_ACCEPTANCE_FULL", "") == "1"
 
@@ -59,7 +58,7 @@ def report(name, ok, detail):
 
 def run_study(n, d, noise, reps=REPS, seed_base=1):
     spec = sparse_signal_spec(n=n, d=d, noise=noise, replicate_seed=seed_base)
-    summaries, _ = run_simulation(spec, reps=reps, tau=0.5, threads=THREADS)
+    summaries, _ = run_simulation(spec, reps=reps, tau=0.5)
     return summaries
 
 
@@ -136,7 +135,7 @@ def test_criterion_4_test_size():
         base = sparse_signal_spec(n=200, d=200, noise=noise, replicate_seed=0)
         pts = run_power_study(
             base, [0.0], reps=runs, b=200, method=method, tau=0.5,
-            seed=5000 + i, threads=THREADS,
+            seed=5000 + i,
         )
         rate = pts[0].rejection_rate
         ok = ok and lo <= rate <= hi
@@ -152,7 +151,7 @@ def test_criterion_5_power_monotone():
                               replicate_seed=0)
     grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     pts = run_power_study(base, grid, reps=150, b=200, method="residual",
-                          tau=0.5, seed=777, threads=THREADS)
+                          tau=0.5, seed=777)
     rates = [p.rejection_rate for p in pts]
     inversions = [max(0.0, a - b) for a, b in zip(rates, rates[1:])]
     ok = (
@@ -176,7 +175,7 @@ def test_criterion_6_synthetic_backtest():
         for method in ("faqr", "qr_plain"):
             rep = rolling_backtest(
                 data, window=150, tau=0.5, method=method, config=cfg,
-                seed=seed, threads=THREADS,
+                seed=seed,
             )
             r2[method].append(rep.pseudo_r2)
     med_faqr = float(np.median(r2["faqr"]))

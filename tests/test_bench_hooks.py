@@ -1,8 +1,10 @@
-"""The benchmark's tracer still finds every faqr function and field it reads.
+"""The benchmark still finds every faqr function, field and flag it uses.
 
 ``bench/tracer.py`` rebinds faqr functions by module and attribute name
 and reads a few result fields; a renamed or deleted target leaves its
 per-layer metric absent, and a traced run then reads as malformed.
+``bench/run.py`` passes CLI flags (``--threads 1`` among them) that the
+parser must keep accepting, or every job of a workload fails.
 """
 
 import dataclasses
@@ -17,27 +19,40 @@ import numpy as np
 
 import faqr
 import faqr.harness
-import faqr.harness.cli  # noqa: F401  (the tracer resolves against loaded modules)
+import faqr.harness.cli  # the tracer resolves against loaded modules
 from faqr.harness import generate_dgp, sparse_signal_spec
 from faqr.harness.io import write_matrix_csv
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    """Import bench/tracer.py under a private name, leaving bench/ untouched."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load_bench(name):
+    """Import bench/<name>.py under a private name.
+
+    Writes no bytecode into bench/, and afterwards restores the
+    environment (run.py pins BLAS threads in it), sys.path and the
+    bench modules that the import put in sys.modules.
+    """
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    saved_path, saved_env, saved_modules = list(sys.path), dict(os.environ), set(sys.modules)
+    saved_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(BENCH))
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.dont_write_bytecode = saved
+        sys.dont_write_bytecode = saved_bytecode
+        sys.path[:] = saved_path
+        os.environ.clear()
+        os.environ.update(saved_env)
+        for key in set(sys.modules) - saved_modules:
+            if Path(getattr(sys.modules[key], "__file__", None) or "").parent == BENCH:
+                del sys.modules[key]
     return module
 
 
 def test_every_span_and_counter_target_resolves():
-    tracer = _load_tracer()
+    tracer = _load_bench("tracer")
     missing = [
         (module, attr)
         for table in (tracer.SPANS, tracer.COUNTERS)
@@ -72,3 +87,15 @@ def test_traced_residual_adequacy_reaches_the_wrapped_test(tmp_path):
     doc = json.loads(trace.read_text())
     assert "inference.adequacy" in {name for name, *_ in doc["spans"]}
     assert doc["counts"]["inference.null_fits"] == 101
+
+
+def test_benchmark_cli_jobs_parse():
+    """Every faqr command line the benchmark builds, plain or traced, still parses."""
+    run = _load_bench("run")
+    parser = faqr.harness.cli.build_parser()
+    for workload, args in run.CLI_ARGS.items():
+        plain = run.job_argv(workload, "panel.csv", "out.json", 1)
+        traced = run.job_argv(workload, "panel.csv", "out.json", 1, trace_path="trace.json")
+        assert plain[1:3] == ["-m", "faqr.harness.cli"]
+        for argv in (plain[3:], traced[traced.index("cli") + 1:]):
+            assert parser.parse_args(argv).command == args[0]

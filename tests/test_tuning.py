@@ -118,11 +118,12 @@ class TestSelectLambda:
         rule = LambdaRule(seed=123, n_sim=300)
         assert select_lambda(p, rule) == select_lambda(p, rule)
 
-    def test_unnormalized_flag(self):
+    def test_c0_times_order_statistic_over_n(self):
         p = make_problem(seed=8)
-        norm = select_lambda(p, LambdaRule(seed=3, n_sim=200))
-        raw = select_lambda(p, LambdaRule(seed=3, n_sim=200, normalize=False))
-        assert raw == pytest.approx(norm * p.n, rel=1e-12)
+        rule = LambdaRule(c0=1.7, alpha=0.25, seed=3, n_sim=200)
+        draws = np.sort(simulate_pivotal(p, rule))
+        # the ceil(0.75 * 200) = 150th smallest draw, on the 1/n objective scale
+        assert select_lambda(p, rule) == pytest.approx(1.7 * draws[149] / p.n, rel=1e-12)
 
     def test_rule_validation(self):
         with pytest.raises(DimensionError):
