@@ -156,20 +156,20 @@ def _listify(a):
     return [float(v) for v in np.asarray(a, dtype=float).ravel()]
 
 
-def factor_model_json(fm, seed=None):
+def factor_model_json(fm):
     return {
         "m": int(fm.m),
         "eigenvalues": _listify(fm.eigenvalues),
         "loadings": [_listify(r) for r in fm.b_hat],
         "factors": [_listify(r) for r in fm.f_hat],
         "idiosyncratic": [_listify(r) for r in fm.u_hat],
-        "meta": metadata(seed),
+        "meta": metadata(None),
     }
 
 
-def fit_json(result, seed=None, lambda_rule=None):
+def fit_json(result, seed, lambda_rule):
     fit = result.fit
-    out = {
+    return {
         "theta": _listify(fit.theta_hat),
         "beta": _listify(fit.beta_hat),
         "gamma": _listify(fit.gamma_hat),
@@ -182,25 +182,23 @@ def fit_json(result, seed=None, lambda_rule=None):
         "iters": fit.n_outer_iters,
         "converged": fit.converged,
         "meta": metadata(seed),
-    }
-    if lambda_rule is not None:
-        out["lambda_rule"] = {
+        "lambda_rule": {
             "c0": lambda_rule.c0,
             "alpha": lambda_rule.alpha,
             "n_sim": lambda_rule.n_sim,
             "seed": lambda_rule.seed,
-        }
-    return out
+        },
+    }
 
 
-def adequacy_json(result, seed=None):
+def adequacy_json(result):
     return {
         "t_n": result.t_n,
         "p_value": result.p_value,
         "method": result.method,
         "b": result.b,
         "gamma_null": _listify(result.gamma_null),
-        "meta": metadata(seed if seed is not None else result.seed),
+        "meta": metadata(result.seed),
     }
 
 

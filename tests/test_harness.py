@@ -501,6 +501,33 @@ class TestCli:
                          "--out", str(out2)]) == 0
         assert json.loads(out2.read_text())["tau"] == 0.6
 
+    def test_config_file_keys_act_as_flag_defaults(self, csv_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "simulate", "config": "x", "center": True,
+                                   "lambda_c0": 2, "lambda_sims": "500"}))
+
+        def fit(name, extra):
+            out = tmp_path / f"{name}.json"
+            assert cli_main(["fit", "--data", str(csv_path), "--response", "y",
+                             "--out", str(out)] + extra) == 0
+            return out.read_bytes()
+
+        from_file = fit("file", ["--config", str(cfg)])
+        assert from_file == fit("flags", ["--center", "--lambda-c0", "2", "--lambda-sims", "500"])
+        assert from_file != fit("defaults", [])
+        assert json.loads(from_file)["lambda_rule"]["c0"] == 2.0
+        # an explicit flag beats the file's value; the file's other keys still apply
+        assert fit("file_and_flag", ["--config", str(cfg), "--lambda-c0", "3"]) == fit(
+            "flags_only", ["--center", "--lambda-c0", "3", "--lambda-sims", "500"])
+
+    @pytest.mark.parametrize("command", ["fit", "select-factors", "simulate", "adequacy",
+                                         "backtest"])
+    def test_help_renders_with_defaults(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--help"])
+        assert exc.value.code == 0
+        assert "quantile level (default 0.5)" in " ".join(capsys.readouterr().out.split())
+
     def test_rerun_is_byte_identical(self, csv_path, tmp_path):
         args = ["adequacy", "--data", str(csv_path), "--response", "y",
                 "--method", "residual", "--reps", "100", "--factors", "1",
