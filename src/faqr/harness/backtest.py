@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FaqrError, WindowTooLarge
+from ..errors import FaqrError, InputError, WindowTooLarge
 from ..factor_model import DataMatrix
 from ..rng import derive_seed
 from ..smoothed_loss import check_loss
@@ -82,6 +82,8 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0):
     window = int(window)
     if not 1 < window < n:
         raise WindowTooLarge(f"window {window} leaves no observations to predict (n={n})")
+    if method not in PIPELINES:
+        raise InputError(f"unknown method {method!r}; choose from {tuple(PIPELINES)}")
     config = config or PipelineConfig()
     pipeline = PIPELINES[method]
 

@@ -144,7 +144,13 @@ def _parse_args(argv):
     # "command" is the subcommand's name, not one of its options, and a
     # file cannot name a further file
     own = set(vars(args)) - {"command", "config"}
-    commands[args.command].set_defaults(**{k: v for k, v in values.items() if k in own})
+    values = {k: v for k, v in values.items() if k in own}
+    sub = commands[args.command]
+    for key, value in values.items():
+        # null stands for "no value" only where that is the option's own default
+        if value is None and sub.get_default(key) is not None:
+            raise InputError(f"config file {args.config}: {key!r} must not be null")
+    sub.set_defaults(**values)
     return parser.parse_args(argv)
 
 

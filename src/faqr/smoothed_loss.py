@@ -10,7 +10,9 @@ V ~ K, the smoothed loss of a residual r has the closed form
 
 which this module implements per kernel family together with the kernel
 density K, its antiderivative Kbar, the gradient and Hessian of the
-sample objective, and the default bandwidth rule.
+sample objective, and the default bandwidth rule.  The objective and
+its gradient also come in forms that take residuals already computed,
+so a caller that holds them (the solver) does not form them twice.
 """
 
 from dataclasses import dataclass, field
@@ -202,17 +204,25 @@ class QuantileProblem:
         return r
 
 
+def value_from_residuals(problem, r):
+    """Sample smoothed quantile objective (1/n) sum_i l(r_i), given the residuals."""
+    return float(np.mean(smoothed_check(r, problem.tau, problem.kernel)))
+
+
+def gradient_from_residuals(problem, r):
+    """Gradient (1/n) sum_i [Kbar_h(-r_i) - tau] z_i of the objective, given the residuals."""
+    psi = kernel_cdf(problem.kernel, -r / problem.kernel.h) - problem.tau
+    return problem.z_hat.T @ psi / problem.n
+
+
 def loss_value(problem, theta):
     """Sample smoothed quantile objective (1/n) sum_i l(r_i(theta))."""
-    r = problem.residuals(theta)
-    return float(np.mean(smoothed_check(r, problem.tau, problem.kernel)))
+    return value_from_residuals(problem, problem.residuals(theta))
 
 
 def loss_gradient(problem, theta):
     """Gradient (1/n) sum_i [Kbar_h(-r_i) - tau] z_i of the objective."""
-    r = problem.residuals(theta)
-    psi = kernel_cdf(problem.kernel, -r / problem.kernel.h) - problem.tau
-    return problem.z_hat.T @ psi / problem.n
+    return gradient_from_residuals(problem, problem.residuals(theta))
 
 
 def loss_hessian(problem, theta):

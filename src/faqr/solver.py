@@ -3,11 +3,15 @@
 The objective Qh(theta) + lambda ||sigma * theta||_1 is minimized by
 repeatedly building an isotropic quadratic surrogate at the current
 iterate and solving it exactly with soft-thresholding.  The surrogate
-curvature phi starts small and is inflated by a constant factor until
-the surrogate majorizes the smooth loss at the proposal, which makes the
-penalized objective monotonically non-increasing without ever touching
-the Hessian.  The starting point is a Huberized expectile fit obtained
-with the same machinery.
+curvature phi is inflated by a constant factor until the surrogate
+majorizes the smooth loss at the proposal, which makes the penalized
+objective monotonically non-increasing without ever touching the
+Hessian.  As in I-LAMM, each outer iteration starts that search from
+the last accepted curvature shrunk by the same factor, floored at phi0,
+so phi0 is only the first and smallest curvature tried.  The accepted
+proposal's residuals give the next gradient, so each iterate's
+residuals are formed once.  The starting point is a Huberized expectile
+fit obtained with the same machinery.
 """
 
 from dataclasses import dataclass, replace
@@ -15,10 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, InnerLoopStall
-from .smoothed_loss import loss_gradient, loss_value
+from .smoothed_loss import gradient_from_residuals, loss_gradient, value_from_residuals
 
 
-# Factor by which the inner loop inflates the surrogate curvature.
+# Factor by which the inner loop inflates the surrogate curvature, and
+# by which each outer iteration shrinks the last accepted one.
 _ESCALATION = 2.0
 
 
@@ -26,11 +31,12 @@ _ESCALATION = 2.0
 class SolverConfig:
     """Knobs of the majorize-minimize loop.
 
-    phi0 is the curvature the inner loop restarts from at each outer
-    iteration (escalated by a factor of 2 until the surrogate
-    majorizes), tol the l2 stopping threshold on successive iterates,
-    and max_outer and max_inner the outer iteration and curvature
-    escalation budgets.
+    phi0 is the first and smallest surrogate curvature: the first outer
+    iteration starts its search there, and each later one starts at
+    max(phi0, last accepted curvature / 2); the search doubles the
+    curvature until the surrogate majorizes.  tol is the l2 stopping
+    threshold on successive iterates, and max_outer and max_inner the
+    outer iteration and per-iteration curvature escalation budgets.
 
     kkt_tol is a secondary stopping rule on the subgradient optimality
     residual.  Near the optimum the proximal map can orbit at step sizes
@@ -114,10 +120,11 @@ class _QuantileLoss:
         self.problem = problem
 
     def value(self, theta):
-        return loss_value(self.problem, theta)
+        r = self.problem.residuals(theta)
+        return value_from_residuals(self.problem, r), r
 
-    def gradient(self, theta):
-        return loss_gradient(self.problem, theta)
+    def gradient(self, r):
+        return gradient_from_residuals(self.problem, r)
 
 
 class _HuberExpectileLoss:
@@ -127,21 +134,18 @@ class _HuberExpectileLoss:
         self.problem = problem
         self.c = float(c)
 
-    def _pieces(self, theta):
-        r = self.problem.residuals(theta)
-        w = np.where(r >= 0, self.problem.tau, 1.0 - self.problem.tau)
-        return r, w
+    def _weights(self, r):
+        return np.where(r >= 0, self.problem.tau, 1.0 - self.problem.tau)
 
     def value(self, theta):
-        r, w = self._pieces(theta)
+        r = self.problem.residuals(theta)
         a = np.abs(r)
         hub = np.where(a <= self.c, 0.5 * r * r, self.c * a - 0.5 * self.c**2)
-        return float(np.mean(hub * w))
+        return float(np.mean(hub * self._weights(r))), r
 
-    def gradient(self, theta):
-        r, w = self._pieces(theta)
+    def gradient(self, r):
         dh = np.clip(r, -self.c, self.c)
-        return -(self.problem.z_hat.T @ (dh * w)) / self.problem.n
+        return -(self.problem.z_hat.T @ (dh * self._weights(r))) / self.problem.n
 
 
 def _kkt_from_gradient(g, theta, lam_sigma):
@@ -154,28 +158,30 @@ def _kkt_from_gradient(g, theta, lam_sigma):
 def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     """Run the majorize-minimize loop on a smooth loss plus l1 penalty.
 
-    ``loss`` is any object with ``value(theta)`` and ``gradient(theta)``.
-    Returns (theta, outer_iters, converged, objective_trace) where the
-    trace holds the penalized objective at theta0 and after each outer
-    iteration.
+    ``loss`` is any object whose ``value(theta)`` returns the loss and
+    the residuals at theta, and whose ``gradient(r)`` takes the gradient
+    from those residuals.  Returns (theta, outer_iters, converged,
+    objective_trace) where the trace holds the penalized objective at
+    theta0 and after each outer iteration.
     """
     theta = np.array(theta0, dtype=float)
-    f_cur = loss.value(theta)
+    f_cur, r = loss.value(theta)
     trace = [f_cur + float(lam_sigma @ np.abs(theta))]
     converged = False
     outer = 0
+    phi = cfg.phi0
     for outer_next in range(1, cfg.max_outer + 1):
-        phi = cfg.phi0
-        g = loss.gradient(theta)
+        g = loss.gradient(r)
         if _kkt_from_gradient(g, theta, lam_sigma) <= cfg.kkt_tol:
             converged = True
             break
         outer = outer_next
         pen_cur = float(lam_sigma @ np.abs(theta))
+        phi = max(cfg.phi0, phi / _ESCALATION)
         accepted = None
         for _ in range(cfg.max_inner):
             proposal = soft_threshold(theta - g / phi, lam_sigma / phi)
-            f_new = loss.value(proposal)
+            f_new, r_new = loss.value(proposal)
             delta = proposal - theta
             surrogate = f_cur + g @ delta + 0.5 * phi * (delta @ delta)
             pen_new = float(lam_sigma @ np.abs(proposal))
@@ -183,7 +189,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
             # round-off from accepting a curvature that underestimates the
             # loss, which would let the iterate orbit the optimum
             if surrogate >= f_new and f_new + pen_new <= f_cur + pen_cur:
-                accepted = (proposal, f_new, pen_new, delta)
+                accepted = (proposal, f_new, r_new, pen_new, delta)
                 break
             phi *= _ESCALATION
         if accepted is None:
@@ -191,7 +197,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
                 f"no majorizing curvature found after {cfg.max_inner} escalations; "
                 "the loss is numerically broken"
             )
-        theta, f_cur, pen_cur, delta = accepted
+        theta, f_cur, r, pen_cur, delta = accepted
         trace.append(f_cur + pen_cur)
         if np.linalg.norm(delta) < cfg.tol:
             converged = True

@@ -189,6 +189,12 @@ class TestBacktest:
         with pytest.raises(WindowTooLarge):
             rolling_backtest(DataMatrix(x=data.x), window=10, tau=0.5)
 
+    def test_unknown_method_is_an_input_error(self):
+        spec = sparse_signal_spec(n=30, d=5, gamma=(0.5,), replicate_seed=2)
+        data, _ = generate_dgp(spec)
+        with pytest.raises(InputError, match="jackknife"):
+            rolling_backtest(data, window=20, tau=0.5, method="jackknife")
+
     def test_no_look_ahead_poisoning(self):
         spec = sparse_signal_spec(n=60, d=8, signal=(1.0, -1.0), gamma=(0.5,),
                                   replicate_seed=3)
@@ -431,6 +437,33 @@ class TestCli:
         cfg.write_text(json.dumps({"method": "jackknife"}))
         assert cli_main(["adequacy", "--data", str(csv_path), "--response", "y",
                          "--reps", "100", "--config", str(cfg)]) == 2
+
+    def test_unknown_backtest_method_in_config_file_exits_2(self, csv_path, tmp_path, capsys):
+        # a file's value is an argparse default, which `choices` does not check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "jackknife"}))
+        assert cli_main(["backtest", "--data", str(csv_path), "--response", "y",
+                         "--window", "55", "--config", str(cfg)]) == 2
+        assert "unknown method 'jackknife'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tau", "seed", "lambda_c0", "lambda_sims"])
+    def test_config_null_for_a_typed_option_exits_2(self, csv_path, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        assert cli_main(["fit", "--data", str(csv_path), "--response", "y",
+                         "--config", str(cfg)]) == 2
+        assert f"{key!r} must not be null" in capsys.readouterr().err
+
+    def test_config_null_keeps_working_where_the_default_is_none(self, csv_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bandwidth": None, "m_max": None, "threads": None}))
+        outs = []
+        for name, extra in (("file", ["--config", str(cfg)]), ("defaults", [])):
+            out = tmp_path / f"{name}.json"
+            assert cli_main(["fit", "--data", str(csv_path), "--response", "y",
+                             "--out", str(out)] + extra) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def _residual_adequacy(self, csv_path, tmp_path, name, extra):
         out, hist = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"

@@ -16,7 +16,7 @@ from faqr import (
     soft_threshold,
     warm_start_expectile,
 )
-from faqr.harness import generate_dgp, sparse_signal_spec
+from faqr.harness import NoiseSpec, generate_dgp, sparse_signal_spec
 from faqr.factor_model import estimate_factors
 from faqr.smoothed_loss import default_bandwidth
 from faqr.tuning import LambdaRule, select_lambda
@@ -184,6 +184,29 @@ class TestFitPenalized:
             assert fit.kkt_residual <= 1e-4
             assert kkt_residual(p, fit.theta_hat, fit.lam) == fit.kkt_residual
 
+    def test_each_iterate_forms_its_residuals_once(self, monkeypatch):
+        # phi0 above the global curvature bound: every inner loop accepts its
+        # first proposal, so each outer iteration forms exactly one residual
+        # vector (the proposal's), and its gradient reuses it.  The fixed
+        # per-fit cost is 2: the residuals at the start point, and the ones
+        # kkt_residual forms for the reported KKT residual.
+        p = make_problem(n=80, dim=6, seed=12)
+        k_max = 1.0 / np.sqrt(2 * np.pi)  # gaussian kernel maximum
+        lipschitz = (k_max / p.kernel.h) * np.linalg.eigvalsh(p.z_hat.T @ p.z_hat / p.n).max()
+        cfg = SolverConfig(phi0=1.1 * lipschitz, tol=1e-8, kkt_tol=1e-6)
+        calls = []
+        residuals = QuantileProblem.residuals
+
+        def counted(self, theta):
+            calls.append(1)
+            return residuals(self, theta)
+
+        monkeypatch.setattr(QuantileProblem, "residuals", counted)
+        fit = fit_penalized(p, 0.05, cfg, warm=np.zeros(p.dim))
+        assert fit.converged
+        assert fit.n_outer_iters > 10
+        assert len(calls) == fit.n_outer_iters + 2
+
     def test_scale_equivariance_of_penalty(self):
         rng = np.random.default_rng(13)
         n, dim = 80, 6
@@ -229,6 +252,33 @@ class TestWarmStart:
         )
         theta = warm_start_expectile(p, 0.0, TIGHT)
         assert abs(theta[0] - 3.0) <= 1e-6
+
+
+class TestCarriedCurvature:
+    @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.5), NoiseSpec("t", 2.0)],
+                             ids=["gaussian", "t2"])
+    @pytest.mark.parametrize("design", ["faqr", "plain"])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_default_fit_matches_a_tight_reference(self, tau, design, noise):
+        # starting each curvature search from the last accepted curvature
+        # must land on the solution a much tighter fit finds
+        seed = 8001 if noise.family == "gaussian" else 8002
+        data, _ = generate_dgp(sparse_signal_spec(n=100, d=100, noise=noise,
+                                                  replicate_seed=seed))
+        if design == "faqr":
+            fm = estimate_factors(data, 2)
+            z, m = np.hstack([fm.u_hat, fm.f_hat]), 2
+        else:
+            z, m = data.x, 0
+        h = default_bandwidth(100, 100, m, tau)
+        p = QuantileProblem(z, data.y, tau, KernelSpec("gaussian", h), n_factors=m)
+        lam = select_lambda(p, LambdaRule(seed=0))
+        fit = fit_penalized(p, lam)
+        ref = fit_penalized(p, lam, SolverConfig(tol=1e-10, kkt_tol=1e-10))
+        assert fit.converged
+        assert fit.support == ref.support
+        assert abs(fit.final_objective - ref.final_objective) <= 1e-8
+        assert np.all(np.diff(fit.objective_trace) <= 0.0)
 
 
 class TestBenchmarkProperties:
