@@ -29,7 +29,7 @@ class BacktestReport:
     actuals: np.ndarray
     benchmarks: np.ndarray
     mape: float
-    pseudo_r2: float
+    pseudo_r2: float | None
     tau: float
     method: str
     failures: tuple
@@ -46,17 +46,16 @@ def prediction_metrics(actuals, predictions, benchmarks, tau):
 
     The pseudo-R2 compares the check loss of the predictions against the
     check loss of each window's training-sample quantile: 1 for exact
-    predictions, 0 for a predictor that just repeats the benchmark.
+    predictions, 0 for a predictor that just repeats the benchmark, and
+    None when the benchmark's check loss is 0 (a constant response), so
+    the ratio is undefined.
     """
     actuals = np.asarray(actuals, dtype=float)
     err = actuals - np.asarray(predictions, dtype=float)
     num = check_loss(err, tau).sum()
     denom = check_loss(actuals - np.asarray(benchmarks, dtype=float), tau).sum()
-    if denom > 0:
-        pseudo_r2 = 1.0 - num / denom
-    else:
-        pseudo_r2 = 1.0 if num == 0 else -np.inf
-    return float(np.abs(err).mean()), float(pseudo_r2)
+    pseudo_r2 = float(1.0 - num / denom) if denom > 0 else None
+    return float(np.abs(err).mean()), pseudo_r2
 
 
 def _predict(result, x_new, method):

@@ -62,7 +62,6 @@ class FactorStep:
 @dataclass(frozen=True)
 class PipelineResult:
     fit: "object"
-    lam: float
     factor_model: "object | None"
     column_means: np.ndarray
 
@@ -107,7 +106,7 @@ def fit_faqr(data, tau, config=None):
     problem = QuantileProblem(z, step.data.y, tau, step.kernel, n_factors=fm.m)
     lam = select_lambda(problem, config.lambda_rule)
     fit = fit_penalized(problem, lam).with_varphi(fm.b_hat)
-    return PipelineResult(fit=fit, lam=lam, factor_model=fm, column_means=step.column_means)
+    return PipelineResult(fit=fit, factor_model=fm, column_means=step.column_means)
 
 
 def fit_qr_plain(data, tau, config=None):
@@ -119,7 +118,7 @@ def fit_qr_plain(data, tau, config=None):
     problem = QuantileProblem(data.x, data.y, tau, _kernel(config, n, d, 0, tau), n_factors=0)
     lam = select_lambda(problem, config.lambda_rule)
     fit = fit_penalized(problem, lam)
-    return PipelineResult(fit=fit, lam=lam, factor_model=None, column_means=means)
+    return PipelineResult(fit=fit, factor_model=None, column_means=means)
 
 
 PIPELINES = {"faqr": fit_faqr, "qr_plain": fit_qr_plain}

@@ -20,6 +20,8 @@ _DATA = 1
 _TUNE = 2
 _BOOT = 3
 
+_SIGNAL_COORDS = 3  # leading sparse coefficients carrying the power study's signal
+
 
 @dataclass(frozen=True)
 class MethodSummary:
@@ -74,7 +76,7 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
             records.append(
                 ReplicateRecord(
                     rep=rep, method=method, l1_error=rpt.l1_error, tpr=rpt.tpr,
-                    fpr=rpt.fpr, lam=res.lam, n_iters=res.fit.n_outer_iters,
+                    fpr=rpt.fpr, lam=res.fit.lam, n_iters=res.fit.n_outer_iters,
                     converged=res.fit.converged,
                 )
             )
@@ -113,17 +115,16 @@ def run_power_study(
     method="residual",
     tau=0.5,
     seed=0,
-    signal_coords=3,
     level=0.05,
     config=None,
 ):
     """Rejection-rate curve of the adequacy test over signal amplitudes.
 
-    The sparse coefficients are (w, ..., w, 0, ...) with ``signal_coords``
-    leading entries; w = 0 is the null.  Each replicate runs
-    ``run_adequacy`` with ``config`` (default ``PipelineConfig()``, its
-    factor count taken from the spec when None).  A replicate rejects
-    when its bootstrap p-value falls strictly below ``level``.
+    The sparse coefficients are (w, w, w, 0, ...); w = 0 is the null.
+    Each replicate runs ``run_adequacy`` with ``config`` (default
+    ``PipelineConfig()``, its factor count taken from the spec when
+    None).  A replicate rejects when its bootstrap p-value falls strictly
+    below ``level``.
     """
     w_grid = [float(w) for w in w_grid]
     if 0.0 not in w_grid:
@@ -135,7 +136,7 @@ def run_power_study(
     points = []
     for wi, w in enumerate(w_grid):
         beta_w = np.zeros(base_spec.d)
-        beta_w[:signal_coords] = w
+        beta_w[:_SIGNAL_COORDS] = w
         spec_w = replace(base_spec, beta_star=beta_w)
 
         rejects = 0

@@ -9,7 +9,8 @@ a kernel-weighted inner product, and the score averages the projected
 columns against the smoothed sign of the factor-only residuals.
 Critical values come from a Gaussian multiplier bootstrap or from a
 residual bootstrap that refits the null model on resampled residuals of
-the full (penalized) model.  Both calibrations share the observed side
+the full (penalized) model; each refit starts from least squares, so the
+replicates are independent.  Both calibrations share the observed side
 (input checks, the null fit and t_n) and the p-value, the share of
 replicates strictly above t_n.  ``faqr.harness.pipeline.run_adequacy``
 runs the factor step and picks the calibration from a pipeline config.
@@ -25,11 +26,11 @@ from .rng import derive_seed, stream
 from .smoothed_loss import (
     KernelSpec,
     QuantileProblem,
+    gradient_from_residuals,
+    hessian_from_residuals,
     kernel_cdf,
     kernel_density,
-    loss_gradient,
-    loss_hessian,
-    loss_value,
+    value_from_residuals,
 )
 from .solver import fit_penalized
 from .tuning import LambdaRule, select_lambda
@@ -39,8 +40,10 @@ from .tuning import LambdaRule, select_lambda
 _BOOTSTRAP = 0
 _LAMBDA = 1
 
-# Newton step budget of the factor-only fit.
+# Factor-only Newton fit: step budget, gradient-norm stop, norm accepted after the budget.
 _NEWTON_STEPS = 200
+_GTOL = 1e-9
+_GTOL_BUDGET = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,13 @@ class AdequacyResult:
             object.__setattr__(self, name, a)
 
 
-def fit_factor_only(f_hat, y, tau, kernel, start=None, gtol=1e-9):
+def fit_factor_only(f_hat, y, tau, kernel):
     """Unpenalized smoothed quantile fit of y on the factors alone.
 
-    Uses damped Newton steps with a Levenberg fallback; the dimension is
-    the number of factors, so each step is tiny.  Stops when the l2 norm
-    of the gradient falls below gtol.
+    Starts from least squares and takes damped Newton steps with a
+    Levenberg fallback; the dimension is the number of factors, so each
+    step is tiny.  The accepted iterate's residuals give the gradient,
+    Hessian and value, so each candidate step forms its residuals once.
     """
     f_hat = np.asarray(f_hat, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -77,20 +81,16 @@ def fit_factor_only(f_hat, y, tau, kernel, start=None, gtol=1e-9):
     gram_eigs = np.linalg.eigvalsh(f_hat.T @ f_hat)
     if gram_eigs[-1] <= 0 or gram_eigs[0] < 1e-12 * gram_eigs[-1]:
         raise Singular("factor design matrix is rank-deficient")
-    problem = QuantileProblem(
-        f_hat, y, tau, kernel, sigma_hat=np.ones(m), n_factors=m
-    )
-    if start is None:
-        gamma = np.linalg.solve(f_hat.T @ f_hat, f_hat.T @ y)
-    else:
-        gamma = np.array(start, dtype=float)
-    val = loss_value(problem, gamma)
+    problem = QuantileProblem(f_hat, y, tau, kernel, sigma_hat=np.ones(m), n_factors=m)
+    gamma = np.linalg.solve(f_hat.T @ f_hat, f_hat.T @ y)
+    r = problem.residuals(gamma)
+    val = value_from_residuals(problem, r)
     mu = 0.0
     for _ in range(_NEWTON_STEPS):
-        g = loss_gradient(problem, gamma)
-        if np.linalg.norm(g) <= gtol:
+        g = gradient_from_residuals(problem, r)
+        if np.linalg.norm(g) <= _GTOL:
             return gamma
-        hess = loss_hessian(problem, gamma)
+        hess = hessian_from_residuals(problem, r)
         scale = max(np.trace(hess) / m, 1e-12)
         for _ in range(60):
             try:
@@ -99,16 +99,17 @@ def fit_factor_only(f_hat, y, tau, kernel, start=None, gtol=1e-9):
                 step = None
             if step is not None:
                 cand = gamma + step
-                cand_val = loss_value(problem, cand)
+                cand_r = problem.residuals(cand)
+                cand_val = value_from_residuals(problem, cand_r)
                 if cand_val <= val + 1e-12:
-                    gamma, val = cand, cand_val
+                    gamma, r, val = cand, cand_r, cand_val
                     mu = mu / 4.0 if mu > 1e-10 * scale else 0.0
                     break
             mu = max(mu * 4.0, 1e-6 * scale)
         else:
             raise NumericalError("factor-only fit failed to make progress")
-    g = loss_gradient(problem, gamma)
-    if np.linalg.norm(g) > max(gtol, 1e-8):
+    g = gradient_from_residuals(problem, r)
+    if np.linalg.norm(g) > _GTOL_BUDGET:
         raise NumericalError(
             f"factor-only fit stopped at gradient norm {np.linalg.norm(g):.2e}"
         )
@@ -213,7 +214,8 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None)
     idiosyncratic columns.  ``lambda_rule`` sets the tuning's c0, alpha
     and n_sim; its seed is always derived from ``seed`` under a purpose
     tag of its own.  The replicates draw their resampling indices from
-    the one stream (seed, bootstrap tag), in replicate order.
+    the one stream (seed, bootstrap tag), in replicate order, and are
+    otherwise independent: each refit starts from least squares.
     """
     # u is projected for t_n only; not holding it keeps it out of the full fit's peak memory
     gamma0, t_n = _observed(data, factor, tau, kernel, b)[:2]
@@ -229,15 +231,9 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None)
     pool = eps_full - np.quantile(eps_full, tau)
     fitted_null = factor.f_hat @ full_fit.gamma_hat
     boot = np.empty(b)
-    gamma_b = full_fit.gamma_hat
     gen = stream(seed, _BOOTSTRAP)
     for i in range(b):
-        idx = gen.integers(0, n, n)
-        y_b = fitted_null + pool[idx]
-        gamma_b = fit_factor_only(
-            factor.f_hat, y_b, tau, kernel, start=gamma_b, gtol=1e-8
-        )
-        r_b = y_b - factor.f_hat @ gamma_b
-        psi = tau - kernel_cdf(kernel, -r_b / kernel.h)
-        boot[i] = np.abs(factor.u_hat.T @ psi).max() / n
+        y_b = fitted_null + pool[gen.integers(0, n, n)]
+        gamma_b = fit_factor_only(factor.f_hat, y_b, tau, kernel)
+        boot[i] = score_statistic(gamma_b, factor.u_hat, factor.f_hat, y_b, tau, kernel)[1]
     return _result("residual", t_n, boot, gamma0, seed)

@@ -10,9 +10,9 @@ V ~ K, the smoothed loss of a residual r has the closed form
 
 which this module implements per kernel family together with the kernel
 density K, its antiderivative Kbar, the gradient and Hessian of the
-sample objective, and the default bandwidth rule.  The objective and
-its gradient also come in forms that take residuals already computed,
-so a caller that holds them (the solver) does not form them twice.
+sample objective, and the default bandwidth rule.  The objective, its
+gradient and its Hessian also take residuals already computed, so a
+caller that holds them does not form them twice.
 """
 
 from dataclasses import dataclass, field
@@ -225,12 +225,16 @@ def loss_gradient(problem, theta):
     return gradient_from_residuals(problem, problem.residuals(theta))
 
 
-def loss_hessian(problem, theta):
-    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective."""
-    r = problem.residuals(theta)
+def hessian_from_residuals(problem, r):
+    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective, given the residuals."""
     h = problem.kernel.h
     u = r / h
     w = kernel_density(problem.kernel, u) / (h * problem.n)
     zw = problem.z_hat * w[:, None]
     hess = zw.T @ problem.z_hat
     return 0.5 * (hess + hess.T)
+
+
+def loss_hessian(problem, theta):
+    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective."""
+    return hessian_from_residuals(problem, problem.residuals(theta))

@@ -87,6 +87,8 @@ def test_traced_residual_adequacy_reaches_the_wrapped_test(tmp_path):
     doc = json.loads(trace.read_text())
     assert "inference.adequacy" in {name for name, *_ in doc["spans"]}
     assert doc["counts"]["inference.null_fits"] == 101
+    # each Newton fit forms one residual vector per candidate step, plus its start
+    assert doc["counts"]["smoothed_loss.residual_evals"] <= 6 * doc["counts"]["inference.null_fits"]
 
 
 def test_benchmark_cli_jobs_parse():

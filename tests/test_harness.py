@@ -400,6 +400,22 @@ class TestCli:
         assert doc["n_predictions"] == 30
         assert doc["pseudo_r2"] <= 1.0
 
+    @pytest.mark.parametrize("method", ["faqr", "qr_plain"])
+    def test_backtest_of_a_constant_response_writes_a_null_pseudo_r2(self, tmp_path, method):
+        # the benchmark's check loss is 0, so the pseudo-R2 ratio is undefined
+        x = np.random.default_rng(4).standard_normal((60, 5))
+        path = tmp_path / "constant.csv"
+        write_matrix_csv(path, np.column_stack([np.ones(60), x]),
+                         header=["y"] + [f"x{j}" for j in range(5)])
+        out = tmp_path / "bt.json"
+        assert cli_main([
+            "backtest", "--data", str(path), "--response", "y", "--window", "30",
+            "--factors", "2", "--method", method, "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_predictions"] == 30
+        assert doc["pseudo_r2"] is None
+
     @pytest.mark.parametrize("method", ["multiplier", "residual"])
     def test_adequacy_center_cancels_column_shifts(self, csv_path, tmp_path, method):
         rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)

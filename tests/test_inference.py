@@ -3,10 +3,12 @@ import pytest
 from scipy import integrate
 
 import faqr.inference
+import faqr.smoothed_loss
 import faqr.tuning
 from faqr import (
     FactorModel,
     KernelSpec,
+    QuantileProblem,
     Singular,
     adequacy_test_multiplier,
     adequacy_test_residual,
@@ -36,7 +38,7 @@ class TestFitFactorOnly:
         y = rng.standard_normal(80) + 1.2
         k = KernelSpec("gaussian", 0.35)
         gamma = fit_factor_only(np.ones((80, 1)), y, 0.3, k)
-        from faqr import QuantileProblem, loss_value
+        from faqr import loss_value
 
         p = QuantileProblem(np.ones((80, 1)), y, 0.3, k, sigma_hat=np.ones(1))
         ref = golden_section(lambda t: loss_value(p, np.array([t])), y.min(), y.max())
@@ -66,6 +68,30 @@ class TestFitFactorOnly:
         ratio = errs[500] / errs[4500]
         assert 1.8 <= ratio <= 9.0  # root-n shrinkage, wide Monte Carlo band
         assert errs[4500] <= 0.05
+
+    def test_each_candidate_step_forms_its_residuals_once(self, monkeypatch):
+        # the start point's residuals plus one vector per candidate step tried;
+        # every value evaluation (start and candidates) makes one smoothed_check call
+        calls = {"residuals": 0, "values": 0}
+        residuals, smoothed_check = QuantileProblem.residuals, faqr.smoothed_loss.smoothed_check
+
+        def counting_residuals(problem, theta):
+            calls["residuals"] += 1
+            return residuals(problem, theta)
+
+        def counting_check(*args):
+            calls["values"] += 1
+            return smoothed_check(*args)
+
+        monkeypatch.setattr(QuantileProblem, "residuals", counting_residuals)
+        monkeypatch.setattr(faqr.smoothed_loss, "smoothed_check", counting_check)
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal((120, 3))
+        y = f @ np.array([1.0, -0.5, 0.3]) + rng.standard_t(1, 120)
+        # a narrow uniform kernel under Cauchy noise makes Levenberg reject candidates
+        fit_factor_only(f, y, 0.2, KernelSpec("uniform", 0.05))
+        assert calls["values"] > 2
+        assert calls["residuals"] == calls["values"]
 
     def test_singular_design_raises(self):
         f = np.ones((30, 2))  # duplicated columns
@@ -165,6 +191,26 @@ class TestAdequacyTests:
         assert np.array_equal(r1.boot_stats, r2.boot_stats)
         assert r1.p_value == r2.p_value
         assert r1.method == "residual"
+
+    def test_residual_replicates_are_independent(self, monkeypatch):
+        data, fm, k = benchmark_pieces(n=80, d=25, seed=15)
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            gamma = fit_factor_only(*args, **kwargs)
+            fits.append((np.array(args[1]), gamma))
+            return gamma
+
+        monkeypatch.setattr(faqr.inference, "fit_factor_only", recording_fit)
+        res = adequacy_test_residual(data, fm, 0.5, k, 100, seed=6)
+        replicates = fits[1:]  # the first call is the observed fit
+        assert len(replicates) == res.b
+        for i in (0, 1, res.b - 1):
+            y_b, gamma_b = replicates[i]
+            alone = fit_factor_only(fm.f_hat, y_b, 0.5, k)
+            assert np.array_equal(alone, gamma_b)
+            stat = score_statistic(alone, fm.u_hat, fm.f_hat, y_b, 0.5, k)[1]
+            assert stat == res.boot_stats[i]
 
     @pytest.mark.parametrize("test", [adequacy_test_multiplier, adequacy_test_residual])
     def test_stream_count_does_not_grow_with_b(self, monkeypatch, test):
