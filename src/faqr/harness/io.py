@@ -180,6 +180,7 @@ def fit_json(result, seed, lambda_rule):
         "objective": fit.final_objective,
         "kkt": fit.kkt_residual,
         "iters": fit.n_outer_iters,
+        "escalations": fit.n_escalations,
         "converged": fit.converged,
         "meta": metadata(seed),
         "lambda_rule": {

@@ -6,14 +6,16 @@ iterate and solving it exactly with soft-thresholding.  The surrogate
 curvature phi is inflated by a constant factor until the surrogate
 majorizes the smooth loss at the proposal, which makes the penalized
 objective monotonically non-increasing without ever touching the
-Hessian.  As in I-LAMM, each outer iteration starts that search from
-the last accepted curvature shrunk by the same factor, floored at phi0,
-so phi0 is only the first and smallest curvature tried.  The accepted
+Hessian.  The first outer iteration starts that search at phi0, and each
+later one at the Barzilai-Borwein quotient s'y / s's of the last step,
+floored at phi0 and rounded up to the grid phi0 * 2^(j/4) so that
+round-off in the quotient cannot steer the iterate path.  The accepted
 proposal's residuals give the next gradient, so each iterate's
 residuals are formed once.  The starting point is a Huberized expectile
 fit obtained with the same machinery.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +24,8 @@ from .errors import DimensionError, InnerLoopStall
 from .smoothed_loss import gradient_from_residuals, loss_gradient, value_from_residuals
 
 
-# Factor by which the inner loop inflates the surrogate curvature, and
-# by which each outer iteration shrinks the last accepted one.
+# Factor by which the inner loop inflates a rejected surrogate curvature;
+# it keeps the curvature on the quarter-power-of-two grid it starts on.
 _ESCALATION = 2.0
 
 
@@ -32,9 +34,10 @@ class SolverConfig:
     """Knobs of the majorize-minimize loop.
 
     phi0 is the first and smallest surrogate curvature: the first outer
-    iteration starts its search there, and each later one starts at
-    max(phi0, last accepted curvature / 2); the search doubles the
-    curvature until the surrogate majorizes.  tol is the l2 stopping
+    iteration starts its search there, and each later one at the
+    Barzilai-Borwein quotient rounded up to the grid phi0 * 2^(j/4),
+    which keeps round-off from steering the iterates; the search doubles
+    the curvature until the surrogate majorizes.  tol is the l2 stopping
     threshold on successive iterates, and max_outer and max_inner the
     outer iteration and per-iteration curvature escalation budgets.
 
@@ -63,7 +66,8 @@ class FaqrFit:
 
     theta_hat stacks the d idiosyncratic coefficients first and the m
     factor coefficients last; varphi_hat = gamma_hat - B^T beta_hat is
-    filled by pipelines that know the loadings B.
+    filled by pipelines that know the loadings B.  n_escalations counts
+    the proposals the quantile phase rejected.
     """
 
     theta_hat: np.ndarray
@@ -79,6 +83,7 @@ class FaqrFit:
     converged: bool
     objective_trace: tuple = ()
     varphi_hat: np.ndarray | None = None
+    n_escalations: int = 0
 
     def __post_init__(self):
         theta = np.asarray(self.theta_hat, dtype=float)
@@ -111,8 +116,12 @@ def soft_threshold(v, t):
         raise DimensionError("threshold vector must match v in length")
     if np.any(t < 0):
         raise DimensionError("thresholds must be non-negative")
-    out = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    out = _shrink(v, t)
     return out if out.ndim else float(out)
+
+
+def _shrink(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 class _QuantileLoss:
@@ -160,27 +169,30 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
 
     ``loss`` is any object whose ``value(theta)`` returns the loss and
     the residuals at theta, and whose ``gradient(r)`` takes the gradient
-    from those residuals.  Returns (theta, outer_iters, converged,
-    objective_trace) where the trace holds the penalized objective at
-    theta0 and after each outer iteration.
+    from those residuals.  Returns (theta, outer_iters, converged, trace,
+    escalations): the penalized objective at theta0 and after each outer
+    iteration, and the number of rejected proposals.
     """
     theta = np.array(theta0, dtype=float)
     f_cur, r = loss.value(theta)
     trace = [f_cur + float(lam_sigma @ np.abs(theta))]
     converged = False
-    outer = 0
+    outer = escalations = 0
     phi = cfg.phi0
     for outer_next in range(1, cfg.max_outer + 1):
         g = loss.gradient(r)
         if _kkt_from_gradient(g, theta, lam_sigma) <= cfg.kkt_tol:
             converged = True
             break
+        if outer:
+            q = float(delta @ (g - g_prev)) / float(delta @ delta)
+            phi = cfg.phi0 * 2.0 ** (math.ceil(4 * math.log2(max(1.0, q / cfg.phi0))) / 4)
         outer = outer_next
+        g_prev = g
         pen_cur = float(lam_sigma @ np.abs(theta))
-        phi = max(cfg.phi0, phi / _ESCALATION)
         accepted = None
         for _ in range(cfg.max_inner):
-            proposal = soft_threshold(theta - g / phi, lam_sigma / phi)
+            proposal = _shrink(theta - g / phi, lam_sigma / phi)
             f_new, r_new = loss.value(proposal)
             delta = proposal - theta
             surrogate = f_cur + g @ delta + 0.5 * phi * (delta @ delta)
@@ -192,6 +204,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
                 accepted = (proposal, f_new, r_new, pen_new, delta)
                 break
             phi *= _ESCALATION
+            escalations += 1
         if accepted is None:
             raise InnerLoopStall(
                 f"no majorizing curvature found after {cfg.max_inner} escalations; "
@@ -202,7 +215,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
         if np.linalg.norm(delta) < cfg.tol:
             converged = True
             break
-    return theta, outer, converged, tuple(trace)
+    return theta, outer, converged, tuple(trace), escalations
 
 
 def kkt_residual(problem, theta, lam):
@@ -231,7 +244,7 @@ def warm_start_expectile(problem, lam, cfg=None):
         c = 1e-12
     loss = _HuberExpectileLoss(problem, c)
     theta0 = np.zeros(problem.dim)
-    theta, _, _, _ = _lamm_minimize(loss, theta0, lam * problem.sigma_hat, cfg)
+    theta = _lamm_minimize(loss, theta0, lam * problem.sigma_hat, cfg)[0]
     return theta
 
 
@@ -259,7 +272,7 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
     if warm is None:
         warm = warm_start_expectile(problem, lam, cfg)
     loss = _QuantileLoss(problem)
-    theta, outer, converged, trace = _lamm_minimize(loss, warm, lam * problem.sigma_hat, cfg)
+    theta, outer, converged, trace, esc = _lamm_minimize(loss, warm, lam * problem.sigma_hat, cfg)
     return FaqrFit(
         theta_hat=theta,
         lam=float(lam),
@@ -273,4 +286,5 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
         kkt_residual=kkt_residual(problem, theta, lam),
         converged=converged,
         objective_trace=trace,
+        n_escalations=esc,
     )

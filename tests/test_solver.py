@@ -32,6 +32,20 @@ from oracles import (
 TIGHT = SolverConfig(tol=1e-12, kkt_tol=1e-8, max_outer=20000)
 
 
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """One entry per QuantileProblem.residuals call made during the test."""
+    calls = []
+    residuals = QuantileProblem.residuals
+
+    def counted(self, theta):
+        calls.append(1)
+        return residuals(self, theta)
+
+    monkeypatch.setattr(QuantileProblem, "residuals", counted)
+    return calls
+
+
 def make_problem(n=40, dim=5, tau=0.5, h=0.5, seed=0, family="gaussian"):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dim))
@@ -172,6 +186,17 @@ class TestFitPenalized:
         with pytest.raises(InnerLoopStall):
             fit_penalized(p, 0.01, cfg, warm=np.full(p.dim, 3.0))
 
+    def test_escalations_count_the_rejected_proposals(self, residual_calls):
+        # phi0 far below the loss curvature: the first search must double its
+        # way up about 40 times.  Every proposal, accepted or rejected, forms
+        # one residual vector, so the counts add up exactly.
+        p = make_problem(seed=11)
+        cfg = SolverConfig(phi0=1e-12, tol=1e-8, kkt_tol=1e-6)
+        fit = fit_penalized(p, 0.01, cfg, warm=np.full(p.dim, 3.0))
+        assert fit.converged
+        assert fit.n_escalations >= 30
+        assert len(residual_calls) == fit.n_outer_iters + fit.n_escalations + 2
+
     def test_descent_and_kkt_across_instances(self):
         for seed, tau, family in [(1, 0.5, "gaussian"), (2, 0.25, "logistic"),
                                   (3, 0.7, "laplacian"), (4, 0.5, "gaussian")]:
@@ -184,7 +209,7 @@ class TestFitPenalized:
             assert fit.kkt_residual <= 1e-4
             assert kkt_residual(p, fit.theta_hat, fit.lam) == fit.kkt_residual
 
-    def test_each_iterate_forms_its_residuals_once(self, monkeypatch):
+    def test_each_iterate_forms_its_residuals_once(self, residual_calls):
         # phi0 above the global curvature bound: every inner loop accepts its
         # first proposal, so each outer iteration forms exactly one residual
         # vector (the proposal's), and its gradient reuses it.  The fixed
@@ -194,18 +219,11 @@ class TestFitPenalized:
         k_max = 1.0 / np.sqrt(2 * np.pi)  # gaussian kernel maximum
         lipschitz = (k_max / p.kernel.h) * np.linalg.eigvalsh(p.z_hat.T @ p.z_hat / p.n).max()
         cfg = SolverConfig(phi0=1.1 * lipschitz, tol=1e-8, kkt_tol=1e-6)
-        calls = []
-        residuals = QuantileProblem.residuals
-
-        def counted(self, theta):
-            calls.append(1)
-            return residuals(self, theta)
-
-        monkeypatch.setattr(QuantileProblem, "residuals", counted)
         fit = fit_penalized(p, 0.05, cfg, warm=np.zeros(p.dim))
         assert fit.converged
         assert fit.n_outer_iters > 10
-        assert len(calls) == fit.n_outer_iters + 2
+        assert fit.n_escalations == 0
+        assert len(residual_calls) == fit.n_outer_iters + 2
 
     def test_scale_equivariance_of_penalty(self):
         rng = np.random.default_rng(13)
@@ -254,24 +272,34 @@ class TestWarmStart:
         assert abs(theta[0] - 3.0) <= 1e-6
 
 
+_NOISES = {"gaussian": NoiseSpec("gaussian", 0.5), "t2": NoiseSpec("t", 2.0)}
+_CURVATURE_CASES = [(tau, design, noise) for tau in (0.1, 0.5, 0.9)
+                    for design in ("faqr", "plain") for noise in _NOISES]
+
+
+def _curvature_case(tau, design, noise):
+    """Design, response and kernel of one of the 12 carried-curvature problems."""
+    data, _ = generate_dgp(sparse_signal_spec(
+        n=100, d=100, noise=_NOISES[noise],
+        replicate_seed=8001 if noise == "gaussian" else 8002))
+    if design == "faqr":
+        fm = estimate_factors(data, 2)
+        z, m = np.hstack([fm.u_hat, fm.f_hat]), 2
+    else:
+        z, m = data.x, 0
+    return z, data.y, KernelSpec("gaussian", default_bandwidth(100, 100, m, tau)), m
+
+
 class TestCarriedCurvature:
-    @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.5), NoiseSpec("t", 2.0)],
-                             ids=["gaussian", "t2"])
-    @pytest.mark.parametrize("design", ["faqr", "plain"])
-    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    # Each outer iteration after the first starts its curvature search at the
+    # Barzilai-Borwein quotient, rounded up to the grid phi0 * 2^(j/4).  These
+    # problems pin that rule: it must land on the solution a much tighter fit
+    # finds, do markedly less work than the halved carried curvature it
+    # replaced, and, through the grid, not let round-off steer the iterates.
+    @pytest.mark.parametrize("tau,design,noise", _CURVATURE_CASES)
     def test_default_fit_matches_a_tight_reference(self, tau, design, noise):
-        # starting each curvature search from the last accepted curvature
-        # must land on the solution a much tighter fit finds
-        seed = 8001 if noise.family == "gaussian" else 8002
-        data, _ = generate_dgp(sparse_signal_spec(n=100, d=100, noise=noise,
-                                                  replicate_seed=seed))
-        if design == "faqr":
-            fm = estimate_factors(data, 2)
-            z, m = np.hstack([fm.u_hat, fm.f_hat]), 2
-        else:
-            z, m = data.x, 0
-        h = default_bandwidth(100, 100, m, tau)
-        p = QuantileProblem(z, data.y, tau, KernelSpec("gaussian", h), n_factors=m)
+        z, y, kernel, m = _curvature_case(tau, design, noise)
+        p = QuantileProblem(z, y, tau, kernel, n_factors=m)
         lam = select_lambda(p, LambdaRule(seed=0))
         fit = fit_penalized(p, lam)
         ref = fit_penalized(p, lam, SolverConfig(tol=1e-10, kkt_tol=1e-10))
@@ -279,6 +307,32 @@ class TestCarriedCurvature:
         assert fit.support == ref.support
         assert abs(fit.final_objective - ref.final_objective) <= 1e-8
         assert np.all(np.diff(fit.objective_trace) <= 0.0)
+
+    @pytest.mark.parametrize("tau,design,noise", _CURVATURE_CASES)
+    def test_column_shifts_do_not_steer_the_iterates(self, tau, design, noise):
+        # z - mean(z) and (z + s) - mean(z + s) differ only by round-off; an
+        # unrounded quotient turns that into gaps of up to 5.5e-6 in theta
+        z, y, kernel, m = _curvature_case(tau, design, noise)
+        s = np.random.default_rng(7).uniform(-3.0, 3.0, z.shape[1])
+        p1 = QuantileProblem(z - z.mean(axis=0), y, tau, kernel, n_factors=m)
+        p2 = QuantileProblem((z + s) - (z + s).mean(axis=0), y, tau, kernel, n_factors=m)
+        lam = select_lambda(p1, LambdaRule(seed=0))
+        gap = np.abs(fit_penalized(p1, lam).theta_hat - fit_penalized(p2, lam).theta_hat)
+        assert gap.max() <= 1e-10
+
+    def test_residual_evaluations_fall_by_a_quarter(self, residual_calls):
+        # the 12 default fits above formed 5,044 residual vectors at commit
+        # 9a93892, which started each search at max(phi0, last curvature / 2);
+        # the bound is three quarters of that
+        problems = []
+        for tau, design, noise in _CURVATURE_CASES:
+            z, y, kernel, m = _curvature_case(tau, design, noise)
+            p = QuantileProblem(z, y, tau, kernel, n_factors=m)
+            problems.append((p, select_lambda(p, LambdaRule(seed=0))))
+        residual_calls.clear()
+        for p, lam in problems:
+            fit_penalized(p, lam)
+        assert len(residual_calls) <= 3783
 
 
 class TestBenchmarkProperties:
