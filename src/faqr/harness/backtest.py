@@ -1,25 +1,21 @@
 """Rolling-window out-of-sample evaluation.
 
 Each window refits the whole pipeline on the trailing observations and
-predicts the next one.  A new observation x_t is first centered by the
-column means the window's pipeline subtracted (zero unless the config
-centers).  Its factor scores are obtained by least-squares regression on
-the window's loadings, f_t = (B^T B)^{-1} B^T x_t, and the prediction
-combines them with the fitted coefficients as x_t^T beta + f_t^T varphi,
-which equals f_t^T gamma + (x_t - B f_t)^T beta.  Accuracy is summarized
-by the mean absolute prediction error and the out-of-sample quantile
-pseudo-R2 against each window's training sample quantile.
+predicts the next one as ``PipelineResult.predict``: the window's design
+row of the new observation times the fitted coefficients.  Accuracy is
+summarized by the mean absolute prediction error and the out-of-sample
+quantile pseudo-R2 against each window's training sample quantile.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FaqrError, InputError, WindowTooLarge
+from ..errors import FaqrError, WindowTooLarge
 from ..factor_model import DataMatrix
 from ..rng import derive_seed
 from ..smoothed_loss import check_loss
-from .pipeline import PIPELINES, PipelineConfig
+from .pipeline import PipelineConfig, pipeline_for
 
 
 @dataclass(frozen=True)
@@ -58,16 +54,6 @@ def prediction_metrics(actuals, predictions, benchmarks, tau):
     return float(np.abs(err).mean()), pseudo_r2
 
 
-def _predict(result, x_new, method):
-    x_new = x_new - result.column_means
-    fit = result.fit
-    if method == "qr_plain":
-        return float(x_new @ fit.theta_hat)
-    fm = result.factor_model
-    f_new = np.linalg.solve(fm.b_hat.T @ fm.b_hat, fm.b_hat.T @ x_new)
-    return float(x_new @ fit.beta_hat + f_new @ fit.varphi_hat)
-
-
 def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0):
     """Roll a fitting window through the series and score the predictions.
 
@@ -81,10 +67,8 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0):
     window = int(window)
     if not 1 < window < n:
         raise WindowTooLarge(f"window {window} leaves no observations to predict (n={n})")
-    if method not in PIPELINES:
-        raise InputError(f"unknown method {method!r}; choose from {tuple(PIPELINES)}")
+    pipeline = pipeline_for(method)
     config = config or PipelineConfig()
-    pipeline = PIPELINES[method]
 
     predictions = np.empty(n - window)
     benchmarks = np.empty(n - window)
@@ -100,7 +84,7 @@ def rolling_backtest(data, window, tau, method="faqr", config=None, seed=0):
                 # the first window failed and there is no earlier fit to reuse
                 raise
             failures.append(f"window ending at {t}: {type(exc).__name__}: {exc}")
-        predictions[t - window] = _predict(last_good, data.x[t], method)
+        predictions[t - window] = last_good.predict(data.x[t])
         benchmarks[t - window] = np.quantile(train.y, tau)
     actuals = data.y[window:]
     mape, pseudo_r2 = prediction_metrics(actuals, predictions, benchmarks, tau)

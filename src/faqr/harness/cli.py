@@ -19,9 +19,7 @@ from ..tuning import LambdaRule
 from . import io as hio
 from .backtest import rolling_backtest
 from .dgp import NoiseSpec, sparse_signal_spec
-from .pipeline import (
-    ADEQUACY_METHODS, PIPELINES, PipelineConfig, factor_step, fit_faqr, fit_qr_plain, run_adequacy,
-)
+from .pipeline import ADEQUACY_METHODS, PIPELINES, PipelineConfig, factor_step, run_adequacy
 from .simulate import run_simulation
 
 
@@ -185,15 +183,15 @@ def _emit(args, text):
 def _cmd_fit(args):
     data = _load(args)
     config = _config(args)
-    runner = fit_qr_plain if args.plain else fit_faqr
+    runner = PIPELINES["qr_plain" if args.plain else "faqr"]
     result = runner(data, float(args.tau), config)
     _emit(args, hio.write_json(args.out, hio.fit_json(result, int(args.seed), config.lambda_rule)))
 
 
 def _cmd_select_factors(args):
     data = _load(args)
-    step = factor_step(data, float(args.tau), _config(args))
-    _emit(args, hio.write_json(args.out, hio.factor_model_json(step.factor_model)))
+    design = factor_step(data, float(args.tau), _config(args))
+    _emit(args, hio.write_json(args.out, hio.factor_model_json(design.factor_model)))
 
 
 def _parse_noise(raw):

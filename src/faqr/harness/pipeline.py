@@ -2,24 +2,26 @@
 
 A pipeline run is the factor step, pivotal penalty tuning, and the
 penalized fit.  ``factor_step`` is the one place that turns a
-``PipelineConfig`` into a design: optional column centering, the factor
-count (fixed, or chosen by the eigenvalue ratio up to ``m_max``), the
-factor model, and the kernel.  The plain variant regresses the response
-on the raw columns with the same centering and bandwidth rule.  A run
-keeps the column means it subtracted, to center new rows the same way.
-``run_adequacy`` is the one entry to the adequacy test of the
-factor-only model: the factor step, then the chosen calibration.
+``PipelineConfig`` into a ``Design``: optional column centering, the
+factor count (fixed, or chosen by the eigenvalue ratio up to ``m_max``),
+the factor model (none for plain QR), and the kernel.  A design maps an
+observation x, centered as the fitted data were, to [x - B f, f] with
+f = (B^T B)^{-1} B^T x, or to x without factors; a prediction is that
+row times theta.  ``run_adequacy`` is the one entry to the adequacy test
+of the factor-only model: the factor step, then the chosen calibration.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..factor_model import DataMatrix, default_m_max, estimate_factors, select_num_factors
+from ..factor_model import (
+    DataMatrix, FactorModel, default_m_max, estimate_factors, select_num_factors,
+)
 from ..errors import DimensionError, InputError
 from ..inference import adequacy_test_multiplier, adequacy_test_residual
 from ..smoothed_loss import KernelSpec, QuantileProblem, default_bandwidth
-from ..solver import fit_penalized
+from ..solver import FaqrFit, fit_penalized
 from ..tuning import LambdaRule, select_lambda
 
 
@@ -52,31 +54,31 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class FactorStep:
+class Design:
+    """The data a run fits, and the map from observations to design rows."""
+
     data: DataMatrix  # centered when the config says so
     column_means: np.ndarray
-    factor_model: "object"
+    factor_model: FactorModel | None  # None for plain QR
     kernel: KernelSpec
+
+    def rows(self, x):
+        """Design rows of one observation or a matrix of them; on the fitted data, z."""
+        x = x - self.column_means
+        if self.factor_model is None:
+            return x
+        b = self.factor_model.b_hat
+        f = np.linalg.solve(b.T @ b, b.T @ x.T).T
+        return np.hstack([x - f @ b.T, f])
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    fit: "object"
-    factor_model: "object | None"
-    column_means: np.ndarray
+    fit: FaqrFit
+    design: Design
 
-
-def _center(data, config):
-    """The data as fitted and the column means subtracted from it."""
-    if not config.center:
-        return data, np.zeros(data.d)
-    means = data.x.mean(axis=0)
-    return DataMatrix(x=data.x - means, y=data.y, column_names=data.column_names), means
-
-
-def _kernel(config, n, d, m, tau):
-    h = default_bandwidth(n, d, m, tau) if config.bandwidth is None else config.bandwidth
-    return KernelSpec(config.kernel_family, h)
+    def predict(self, x):
+        return self.design.rows(x) @ self.fit.theta_hat
 
 
 def _require_response(data, what="pipeline fitting"):
@@ -84,44 +86,60 @@ def _require_response(data, what="pipeline fitting"):
         raise InputError(f"{what} needs a response column")
 
 
-def factor_step(data, tau, config):
-    """Center, resolve the factor count, estimate the factors, pick the kernel."""
-    data, means = _center(data, config)
+def factor_step(data, tau, config, factors=True):
+    """The config's design: centering, the factor model unless ``factors`` is false, the kernel."""
+    means = data.x.mean(axis=0) if config.center else np.zeros(data.d)
+    if config.center:
+        data = DataMatrix(x=data.x - means, y=data.y, column_names=data.column_names)
     n, d = data.x.shape
-    m = config.num_factors
-    if m is None:
-        m_max = default_m_max(n, d) if config.m_max is None else config.m_max
-        m = select_num_factors(data, m_max)
-    fm = estimate_factors(data, m)
-    return FactorStep(data, means, fm, _kernel(config, n, d, fm.m, tau))
+    fm = None
+    if factors:
+        m = config.num_factors
+        if m is None:
+            m_max = default_m_max(n, d) if config.m_max is None else config.m_max
+            m = select_num_factors(data, m_max)
+        fm = estimate_factors(data, m)
+    h = config.bandwidth
+    if h is None:
+        h = default_bandwidth(n, d, 0 if fm is None else fm.m, tau)
+    return Design(data, means, fm, KernelSpec(config.kernel_family, h))
+
+
+def _fit(data, tau, config, factors):
+    """Tuning and the penalized fit on z = [u_hat, f_hat], or on the columns."""
+    config = config or PipelineConfig()
+    _require_response(data)
+    design = factor_step(data, tau, config, factors)
+    fm = design.factor_model
+    z = design.data.x if fm is None else np.hstack([fm.u_hat, fm.f_hat])
+    problem = QuantileProblem(z, design.data.y, tau, design.kernel,
+                              n_factors=0 if fm is None else fm.m)
+    lam = select_lambda(problem, config.lambda_rule)
+    fit = fit_penalized(problem, lam)
+    if fm is not None:
+        fit = fit.with_varphi(fm.b_hat)
+    return PipelineResult(fit, design)
 
 
 def fit_faqr(data, tau, config=None):
     """Factor-augmented pipeline: PCA, tuning, penalized smoothed fit."""
-    config = config or PipelineConfig()
-    _require_response(data)
-    step = factor_step(data, tau, config)
-    fm = step.factor_model
-    z = np.hstack([fm.u_hat, fm.f_hat])
-    problem = QuantileProblem(z, step.data.y, tau, step.kernel, n_factors=fm.m)
-    lam = select_lambda(problem, config.lambda_rule)
-    fit = fit_penalized(problem, lam).with_varphi(fm.b_hat)
-    return PipelineResult(fit=fit, factor_model=fm, column_means=step.column_means)
+    return _fit(data, tau, config, factors=True)
 
 
 def fit_qr_plain(data, tau, config=None):
     """Plain pipeline: the response regressed on the raw columns."""
-    config = config or PipelineConfig()
-    _require_response(data)
-    data, means = _center(data, config)
-    n, d = data.x.shape
-    problem = QuantileProblem(data.x, data.y, tau, _kernel(config, n, d, 0, tau), n_factors=0)
-    lam = select_lambda(problem, config.lambda_rule)
-    fit = fit_penalized(problem, lam)
-    return PipelineResult(fit=fit, factor_model=None, column_means=means)
+    return _fit(data, tau, config, factors=False)
 
 
 PIPELINES = {"faqr": fit_faqr, "qr_plain": fit_qr_plain}
+
+
+def pipeline_for(method):
+    """The pipeline named ``method``: one of ``PIPELINES``."""
+    if method not in PIPELINES:
+        raise InputError(f"unknown method {method!r}; choose from {tuple(PIPELINES)}")
+    return PIPELINES[method]
+
 
 ADEQUACY_METHODS = ("multiplier", "residual")
 
@@ -136,8 +154,8 @@ def run_adequacy(data, tau, config, method, b, seed):
     if method not in ADEQUACY_METHODS:
         raise InputError(f"unknown adequacy method {method!r}; choose from {ADEQUACY_METHODS}")
     _require_response(data, "the adequacy test")
-    step = factor_step(data, tau, config)
-    args = (step.data, step.factor_model, tau, step.kernel, b, seed)
+    design = factor_step(data, tau, config)
+    args = (design.data, design.factor_model, tau, design.kernel, b, seed)
     if method == "multiplier":
         return adequacy_test_multiplier(*args)
     return adequacy_test_residual(*args, lambda_rule=config.lambda_rule)

@@ -13,7 +13,7 @@ from ..errors import InputError
 from ..rng import derive_seed
 from .dgp import generate_dgp
 from .metrics import evaluate_fit
-from .pipeline import PIPELINES, PipelineConfig, run_adequacy
+from .pipeline import PipelineConfig, pipeline_for, run_adequacy
 
 # Seed derivation tags.
 _DATA = 1
@@ -57,9 +57,7 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
     if reps < 10:
         raise InputError("use at least 10 replicates")
     methods = tuple(methods)
-    for m in methods:
-        if m not in PIPELINES:
-            raise InputError(f"unknown method {m!r}; choose from {sorted(PIPELINES)}")
+    pipelines = [pipeline_for(method) for method in methods]
     base = config or PipelineConfig()
     if base.num_factors is None:
         base = replace(base, num_factors=spec.m)
@@ -69,9 +67,9 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
         data, truth = generate_dgp(
             spec.for_replicate(derive_seed(spec.replicate_seed, _DATA, rep))
         )
-        for mi, method in enumerate(methods):
+        for mi, (method, pipeline) in enumerate(zip(methods, pipelines)):
             cfg = base.with_seed(derive_seed(spec.replicate_seed, _TUNE, rep, mi))
-            res = PIPELINES[method](data, tau, cfg)
+            res = pipeline(data, tau, cfg)
             rpt = evaluate_fit(res.fit, truth)
             records.append(
                 ReplicateRecord(
@@ -92,9 +90,9 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
             l1_median=float(np.median(l1)),
             l1_iqr=float(np.quantile(l1, 0.75) - np.quantile(l1, 0.25)),
             tpr_mean=float(tpr.mean()),
-            tpr_se=float(tpr.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            tpr_se=float(tpr.std(ddof=1) / np.sqrt(reps)),
             fpr_mean=float(fpr.mean()),
-            fpr_se=float(fpr.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            fpr_se=float(fpr.std(ddof=1) / np.sqrt(reps)),
         )
     return summaries, records
 

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import faqr
 import faqr.harness
@@ -69,7 +70,8 @@ def test_result_fields_the_benchmark_reads_exist():
     assert "failures" in {f.name for f in dataclasses.fields(faqr.harness.BacktestReport)}
 
 
-def test_traced_residual_adequacy_reaches_the_wrapped_test(tmp_path):
+def _traced_cli(tmp_path, argv):
+    """Run ``faqr argv`` traced through bench/child.py on a 60x10 panel; return the trace."""
     data, _ = generate_dgp(sparse_signal_spec(n=60, d=10, signal=(1.2,), gamma=(0.5,),
                                               replicate_seed=3))
     csv_path = tmp_path / "panel.csv"
@@ -78,17 +80,32 @@ def test_traced_residual_adequacy_reaches_the_wrapped_test(tmp_path):
     trace = tmp_path / "trace.json"
     src = Path(faqr.__file__).resolve().parents[1]
     subprocess.run(
-        [sys.executable, str(BENCH / "child.py"), "--trace", str(trace), "cli",
-         "adequacy", "--data", str(csv_path), "--response", "y", "--method", "residual",
-         "--reps", "100", "--factors", "1", "--out", str(tmp_path / "out.json")],
+        [sys.executable, str(BENCH / "child.py"), "--trace", str(trace), "cli", *argv,
+         "--data", str(csv_path), "--response", "y", "--out", str(tmp_path / "out.json")],
         env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
         check=True, capture_output=True,
     )
-    doc = json.loads(trace.read_text())
+    return json.loads(trace.read_text())
+
+
+def test_traced_residual_adequacy_reaches_the_wrapped_test(tmp_path):
+    doc = _traced_cli(tmp_path, ["adequacy", "--method", "residual", "--reps", "100",
+                                 "--factors", "1"])
     assert "inference.adequacy" in {name for name, *_ in doc["spans"]}
     assert doc["counts"]["inference.null_fits"] == 101
     # each Newton fit forms one residual vector per candidate step, plus its start
     assert doc["counts"]["smoothed_loss.residual_evals"] <= 6 * doc["counts"]["inference.null_fits"]
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["backtest", "--method", "faqr", "--window", "56"], 4),
+    (["backtest", "--method", "qr_plain", "--window", "56"], 4),
+    (["fit", "--plain"], 1),
+], ids=["backtest-faqr", "backtest-qr_plain", "fit-plain"])
+def test_traced_pipelines_reach_the_wrapped_fit(tmp_path, argv, fits):
+    """Each fit goes through a traced pipeline entry, and that entry through the solver."""
+    spans = [name for name, *_ in _traced_cli(tmp_path, argv)["spans"]]
+    assert spans.count("pipeline.fit") == spans.count("solver.fit") == fits
 
 
 def test_benchmark_cli_jobs_parse():

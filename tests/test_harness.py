@@ -270,6 +270,44 @@ class TestBacktest:
         assert rep.mape >= 0.0
 
 
+class TestDesign:
+    """The design's row map against the fitted z and the coefficient formulas."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        data, _ = generate_dgp(sparse_signal_spec(n=80, d=30, signal=(1.0, -1.0),
+                                                  gamma=(0.5, 0.5), replicate_seed=11))
+        return DataMatrix(x=data.x[:70], y=data.y[:70]), data.x[70:]
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("pipeline", [fit_faqr, fit_qr_plain], ids=["faqr", "qr_plain"])
+    def test_rows_reproduce_the_fitted_design(self, panel, pipeline, center):
+        train, _ = panel
+        design = pipeline(train, 0.5, PipelineConfig(center=center).with_seed(3)).design
+        fm = design.factor_model
+        z = design.data.x if fm is None else np.hstack([fm.u_hat, fm.f_hat])
+        assert np.abs(design.rows(train.x) - z).max() <= 1e-10
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_faqr_predictions_are_x_beta_plus_f_varphi(self, panel, center):
+        train, x_new = panel
+        res = fit_faqr(train, 0.5, PipelineConfig(center=center).with_seed(3))
+        x = x_new - (train.x.mean(axis=0) if center else 0.0)
+        b = res.design.factor_model.b_hat
+        f = np.linalg.solve(b.T @ b, b.T @ x.T).T
+        expected = x @ res.fit.beta_hat + f @ res.fit.varphi_hat
+        np.testing.assert_allclose(res.predict(x_new), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.predict(x_new[0]), expected[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_plain_predictions_are_centered_x_theta(self, panel, center):
+        train, x_new = panel
+        res = fit_qr_plain(train, 0.5, PipelineConfig(center=center).with_seed(3))
+        x = x_new - (train.x.mean(axis=0) if center else 0.0)
+        assert np.array_equal(res.predict(x_new), x @ res.fit.theta_hat)
+        assert res.predict(x_new[0]) == x[0] @ res.fit.theta_hat
+
+
 class TestLoadCsv:
     def test_happy_path_with_header(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,0 +1,68 @@
+"""Property tests: every pipeline run ends in finite numbers or a typed error.
+
+The panels cover n < d, n > d and d = 1, a constant, a near-constant
+or a duplicated column, Gaussian or t(1) noise, any tau in
+[0.01, 0.99], and centering on or off.  A fit, or a short backtest,
+must end in finite coefficients and predictions, or raise a
+``FaqrError``; a raw numpy exception, a floating-point warning or a
+NaN fails the test.  Examples are derandomized, so every run checks
+the same cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from faqr import FaqrError
+from faqr.factor_model import DataMatrix
+from faqr.harness import (
+    NoiseSpec, PipelineConfig, generate_dgp, rolling_backtest, sparse_signal_spec,
+)
+from faqr.harness.pipeline import PIPELINES
+
+PATHOLOGIES = ("none", "constant", "near_constant", "duplicate")
+
+
+@st.composite
+def panels(draw):
+    """A panel, tau and a pipeline config."""
+    n = draw(st.integers(5, 30))
+    shape = draw(st.sampled_from(("n<d", "n>d", "d=1")))
+    d = {"n<d": n + draw(st.integers(1, 20)), "n>d": draw(st.integers(2, n - 1)), "d=1": 1}[shape]
+    noise = draw(st.sampled_from((NoiseSpec.gaussian(0.5), NoiseSpec.student_t(1))))
+    seed = draw(st.integers(0, 2**16))
+    data, _ = generate_dgp(sparse_signal_spec(n=n, d=d, noise=noise, signal=(1.0,),
+                                              gamma=(0.5,), replicate_seed=seed))
+    x = data.x.copy()
+    pathology = draw(st.sampled_from(PATHOLOGIES))
+    if pathology == "constant":
+        x[:, 0] = 2.0
+    elif pathology == "near_constant":
+        x[:, 0] = 2.0 + 1e-9 * np.random.default_rng(seed).standard_normal(n)
+    elif pathology == "duplicate" and d > 1:
+        x[:, -1] = x[:, 0]
+    tau = draw(st.floats(0.01, 0.99))
+    return DataMatrix(x=x, y=data.y), tau, PipelineConfig(center=draw(st.booleans()))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=panels())
+def test_pipelines_end_in_finite_numbers_or_a_typed_error(case):
+    data, tau, config = case
+    for method, pipeline in PIPELINES.items():
+        try:
+            result = pipeline(data, tau, config)
+        except FaqrError:
+            pass
+        else:
+            assert np.isfinite(result.fit.theta_hat).all()
+            assert np.isfinite(result.predict(data.x)).all()
+        try:
+            report = rolling_backtest(data, window=data.n - 2, tau=tau, method=method,
+                                      config=config)
+        except FaqrError:
+            pass
+        else:
+            assert np.isfinite(report.predictions).all()
+            assert np.isfinite(report.mape)
