@@ -46,6 +46,7 @@ from .smoothed_loss import (
     default_bandwidth,
     kernel_cdf,
     kernel_density,
+    kernel_pass,
     loss_gradient,
     loss_hessian,
     loss_value,
@@ -92,6 +93,7 @@ __all__ = [
     "fit_penalized",
     "kernel_cdf",
     "kernel_density",
+    "kernel_pass",
     "kkt_residual",
     "loss_gradient",
     "loss_hessian",

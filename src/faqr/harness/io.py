@@ -199,6 +199,7 @@ def adequacy_json(result):
         "method": result.method,
         "b": result.b,
         "gamma_null": _listify(result.gamma_null),
+        "newton_steps": result.newton_steps,
         "meta": metadata(result.seed),
     }
 

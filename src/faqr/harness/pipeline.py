@@ -96,6 +96,12 @@ def factor_step(data, tau, config, factors=True):
     if factors:
         m = config.num_factors
         if m is None:
+            if min(n, d) < 2:
+                raise InputError(
+                    f"a {n}x{d} panel has min(n, d) < 2, which leaves no factor count to "
+                    "select; set the number of factors (--factors N) or fit without "
+                    "factors (--plain)"
+                )
             m_max = default_m_max(n, d) if config.m_max is None else config.m_max
             m = select_num_factors(data, m_max)
         fm = estimate_factors(data, m)

@@ -10,7 +10,10 @@ columns against the smoothed sign of the factor-only residuals.
 Critical values come from a Gaussian multiplier bootstrap or from a
 residual bootstrap that refits the null model on resampled residuals of
 the full (penalized) model; each refit starts from least squares, so the
-replicates are independent.  Both calibrations share the observed side
+replicates are independent.  The refits run in blocks of a fixed number
+of replicates through the one damped Newton loop of the factor-only fit,
+which forms a block's residuals once per round and passes them through
+the kernel once.  Both calibrations share the observed side
 (input checks, the null fit and t_n) and the p-value, the share of
 replicates strictly above t_n.  ``faqr.harness.pipeline.run_adequacy``
 runs the factor step and picks the calibration from a pipeline config.
@@ -26,11 +29,9 @@ from .rng import derive_seed, stream
 from .smoothed_loss import (
     KernelSpec,
     QuantileProblem,
-    gradient_from_residuals,
-    hessian_from_residuals,
     kernel_cdf,
     kernel_density,
-    value_from_residuals,
+    kernel_pass,
 )
 from .solver import fit_penalized
 from .tuning import LambdaRule, select_lambda
@@ -40,15 +41,25 @@ from .tuning import LambdaRule, select_lambda
 _BOOTSTRAP = 0
 _LAMBDA = 1
 
-# Factor-only Newton fit: step budget, gradient-norm stop, norm accepted after the budget.
+# Factor-only Newton fit: step budget, damped tries per step, gradient-norm stop,
+# norm accepted after the budget.
 _NEWTON_STEPS = 200
+_TRIES = 60
 _GTOL = 1e-9
 _GTOL_BUDGET = 1e-8
+
+# Residual bootstrap replicates refitted together by one Newton loop.  The
+# size is fixed so that the (block, n) arrays stay small whatever b is.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class AdequacyResult:
-    """Observed statistic, bootstrap replicates, and the p-value."""
+    """Observed statistic, bootstrap replicates, and the p-value.
+
+    newton_steps counts the accepted Newton steps of the observed
+    factor-only fit and of every residual bootstrap refit.
+    """
 
     t_n: float
     boot_stats: np.ndarray
@@ -57,6 +68,7 @@ class AdequacyResult:
     b: int
     gamma_null: np.ndarray
     seed: int
+    newton_steps: int
 
     def __post_init__(self):
         for name in ("boot_stats", "gamma_null"):
@@ -65,55 +77,98 @@ class AdequacyResult:
             object.__setattr__(self, name, a)
 
 
-def fit_factor_only(f_hat, y, tau, kernel):
-    """Unpenalized smoothed quantile fit of y on the factors alone.
+def _solve_rows(a, rhs):
+    """Solve a[i] x_i = rhs[i] for every row; returns x and a mask of singular rows.
 
-    Starts from least squares and takes damped Newton steps with a
-    Levenberg fallback; the dimension is the number of factors, so each
-    step is tiny.  The accepted iterate's residuals give the gradient,
-    Hessian and value, so each candidate step forms its residuals once.
+    A stacked solve fails as a whole when one matrix is singular, so only
+    then are the rows solved one by one; a singular row's x is zero.
+    """
+    try:
+        return np.linalg.solve(a, rhs[..., None])[..., 0], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, singular = np.zeros_like(rhs), np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
+
+
+def fit_factor_only(f_hat, y, tau, kernel):
+    """Unpenalized smoothed quantile fits of responses on the factors alone.
+
+    ``y`` is one response of length n or a (b, n) block of them.  Returns
+    gamma, of shape (m,) or (b, m), and the accepted Newton steps, an int
+    or one per row.  Every row starts from least squares (one product
+    for the block) and takes damped Newton steps with its own acceptance
+    test, Levenberg damping and stop; the dimension is the number of
+    factors, so each step is tiny.  The rows share one loop: each round
+    forms the candidate residuals of the unfinished rows as one block,
+    whose one kernel pass gives their values and, for the rows that
+    accept, the next gradient and Hessian.
     """
     f_hat = np.asarray(f_hat, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
     n, m = f_hat.shape
     if m > n:
         raise DimensionError("more factors than observations")
-    gram_eigs = np.linalg.eigvalsh(f_hat.T @ f_hat)
+    gram = f_hat.T @ f_hat
+    gram_eigs = np.linalg.eigvalsh(gram)
     if gram_eigs[-1] <= 0 or gram_eigs[0] < 1e-12 * gram_eigs[-1]:
         raise Singular("factor design matrix is rank-deficient")
-    problem = QuantileProblem(f_hat, y, tau, kernel, sigma_hat=np.ones(m), n_factors=m)
-    gamma = np.linalg.solve(f_hat.T @ f_hat, f_hat.T @ y)
-    r = problem.residuals(gamma)
-    val = value_from_residuals(problem, r)
-    mu = 0.0
-    for _ in range(_NEWTON_STEPS):
-        g = gradient_from_residuals(problem, r)
-        if np.linalg.norm(g) <= _GTOL:
-            return gamma
-        hess = hessian_from_residuals(problem, r)
-        scale = max(np.trace(hess) / m, 1e-12)
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + (mu + 1e-14 * scale) * np.eye(m), -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                cand = gamma + step
-                cand_r = problem.residuals(cand)
-                cand_val = value_from_residuals(problem, cand_r)
-                if cand_val <= val + 1e-12:
-                    gamma, r, val = cand, cand_r, cand_val
-                    mu = mu / 4.0 if mu > 1e-10 * scale else 0.0
-                    break
-            mu = max(mu * 4.0, 1e-6 * scale)
-        else:
+    block = np.atleast_2d(y)
+    pairs = (f_hat[:, :, None] * f_hat[:, None, :]).reshape(n, m * m)
+
+    def problem(rows):
+        return QuantileProblem(f_hat, block[rows], tau, kernel, sigma_hat=np.ones(m),
+                               n_factors=m)
+
+    def derivatives(psi, weight):
+        hess = (weight @ pairs).reshape(-1, m, m) / n
+        hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+        return psi @ f_hat / n, hess, np.maximum(np.trace(hess, axis1=1, axis2=2) / m, 1e-12)
+
+    rows = np.arange(block.shape[0])  # the unfinished rows of the block
+    gamma_out, steps_out = np.empty((rows.size, m)), np.zeros(rows.size, dtype=int)
+    current = problem(rows)
+    gamma = np.linalg.solve(gram, f_hat.T @ current.y.T).T
+    val, psi, weight = kernel_pass(current.residuals(gamma), tau, kernel)
+    g, hess, scale = derivatives(psi, weight)
+    mu = np.zeros(rows.size)
+    steps, tries = np.zeros(rows.size, dtype=int), np.zeros(rows.size, dtype=int)
+    while True:
+        gnorm = np.linalg.norm(g, axis=1)
+        spent = steps == _NEWTON_STEPS
+        if np.any(spent & (gnorm > _GTOL_BUDGET)):
+            worst = gnorm[spent].max()
+            raise NumericalError(f"factor-only fit stopped at gradient norm {worst:.2e}")
+        done = spent | (gnorm <= _GTOL)
+        if done.any():
+            gamma_out[rows[done]], steps_out[rows[done]] = gamma[done], steps[done]
+            keep = ~done
+            rows, gamma, val, g, hess, scale, mu, steps, tries = (
+                a[keep] for a in (rows, gamma, val, g, hess, scale, mu, steps, tries)
+            )
+            if not rows.size:
+                break
+            current = problem(rows)
+        step, singular = _solve_rows(hess + (mu + 1e-14 * scale)[:, None, None] * np.eye(m), -g)
+        cand = gamma + step
+        cand_val, cand_psi, cand_weight = kernel_pass(current.residuals(cand), tau, kernel)
+        moved = ~singular & (cand_val <= val + 1e-12)
+        mu = np.where(moved, np.where(mu > 1e-10 * scale, mu / 4.0, 0.0),
+                      np.maximum(mu * 4.0, 1e-6 * scale))
+        if moved.any():
+            gamma[moved], val[moved] = cand[moved], cand_val[moved]
+            g[moved], hess[moved], scale[moved] = derivatives(cand_psi[moved], cand_weight[moved])
+        steps += moved
+        tries = np.where(moved, 0, tries + 1)
+        if np.any(tries == _TRIES):
             raise NumericalError("factor-only fit failed to make progress")
-    g = gradient_from_residuals(problem, r)
-    if np.linalg.norm(g) > _GTOL_BUDGET:
-        raise NumericalError(
-            f"factor-only fit stopped at gradient norm {np.linalg.norm(g):.2e}"
-        )
-    return gamma
+    if y.ndim == 2:
+        return gamma_out, steps_out
+    return gamma_out[0], int(steps_out[0])
 
 
 def weighted_project(u_hat, f_hat, k_weights):
@@ -141,26 +196,28 @@ def score_statistic(gamma, u_star, f_hat, y, tau, kernel):
     """Rescaled marginal score vector and its sup-norm.
 
     s = (1/n) sum_i [Kbar_h(-r_i(gamma)) - tau] u*_i with
-    r_i(gamma) = y_i - f_i^T gamma; returns (s, max_j |s_j|).
+    r_i(gamma) = y_i - f_i^T gamma; returns (s, max_j |s_j|).  A (b, n)
+    block y with (b, m) gamma scores every row with one product: s is
+    (b, d) and the sup-norms a vector.
     """
     u_star = np.asarray(u_star, dtype=float)
     f_hat = np.asarray(f_hat, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    r = y - f_hat @ np.asarray(gamma, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = y - np.asarray(gamma, dtype=float) @ f_hat.T
     psi = kernel_cdf(kernel, -r / kernel.h) - tau
-    s = u_star.T @ psi / y.shape[0]
-    t_n = float(np.abs(s).max()) if s.size else 0.0
-    return s, t_n
+    s = psi @ u_star / y.shape[-1]
+    t_n = np.abs(s).max(axis=-1, initial=0.0)
+    return s, t_n if t_n.ndim else float(t_n)
 
 
 def _observed(data, factor, tau, kernel, b):
-    """Input checks, the factor-only fit, the observed t_n and projected u."""
+    """Input checks, the factor-only fit and its Newton steps, the observed t_n and projected u."""
     if data.y is None:
         raise InputError("adequacy test needs a response column")
     if b < 100:
         raise DimensionError("use at least 100 bootstrap replicates")
     y = data.y
-    gamma0 = fit_factor_only(factor.f_hat, y, tau, kernel)
+    gamma0, steps = fit_factor_only(factor.f_hat, y, tau, kernel)
     eps0 = y - factor.f_hat @ gamma0
     w = kernel_density(kernel, -eps0 / kernel.h) / kernel.h
     u_star = weighted_project(factor.u_hat, factor.f_hat, w)
@@ -171,13 +228,13 @@ def _observed(data, factor, tau, kernel, b):
             f"weighted projection lost orthogonality (residual {worst:.2e})"
         )
     _, t_n = score_statistic(gamma0, u_star, factor.f_hat, y, tau, kernel)
-    return gamma0, t_n, u_star
+    return gamma0, steps, t_n, u_star
 
 
-def _result(method, t_n, boot, gamma0, seed):
+def _result(method, t_n, boot, gamma0, seed, newton_steps):
     return AdequacyResult(
         t_n=t_n, boot_stats=boot, p_value=float(np.mean(boot > t_n)), method=method,
-        b=boot.shape[0], gamma_null=gamma0, seed=int(seed),
+        b=boot.shape[0], gamma_null=gamma0, seed=int(seed), newton_steps=int(newton_steps),
     )
 
 
@@ -189,7 +246,7 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
     zero.  All replicates draw from the one stream (seed, bootstrap
     tag), replicate i after replicate i - 1.
     """
-    gamma0, t_n, u_star = _observed(data, factor, tau, kernel, b)
+    gamma0, steps, t_n, u_star = _observed(data, factor, tau, kernel, b)
     n = data.y.shape[0]
     shift = -ndtri(tau)
     boot = np.empty(b)
@@ -199,7 +256,7 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
         e = gen.normal(shift, 1.0, n)
         psi = tau - kernel_cdf(kernel, e / kernel.h)
         boot[i] = np.abs(u_star.T @ (w * psi)).max() / n
-    return _result("multiplier", t_n, boot, gamma0, seed)
+    return _result("multiplier", t_n, boot, gamma0, seed, steps)
 
 
 def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None):
@@ -215,10 +272,13 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None)
     and n_sim; its seed is always derived from ``seed`` under a purpose
     tag of its own.  The replicates draw their resampling indices from
     the one stream (seed, bootstrap tag), in replicate order, and are
-    otherwise independent: each refit starts from least squares.
+    otherwise independent: each refit starts from least squares.  They
+    are refitted and scored in blocks of ``_BLOCK`` rows, so a
+    replicate's statistic depends on its own resampled response up to
+    the round-off of its block's matrix products.
     """
     # u is projected for t_n only; not holding it keeps it out of the full fit's peak memory
-    gamma0, t_n = _observed(data, factor, tau, kernel, b)[:2]
+    gamma0, steps, t_n = _observed(data, factor, tau, kernel, b)[:3]
     y = data.y
     n = y.shape[0]
     z = np.hstack([factor.u_hat, factor.f_hat])
@@ -232,8 +292,12 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None)
     fitted_null = factor.f_hat @ full_fit.gamma_hat
     boot = np.empty(b)
     gen = stream(seed, _BOOTSTRAP)
-    for i in range(b):
-        y_b = fitted_null + pool[gen.integers(0, n, n)]
-        gamma_b = fit_factor_only(factor.f_hat, y_b, tau, kernel)
-        boot[i] = score_statistic(gamma_b, factor.u_hat, factor.f_hat, y_b, tau, kernel)[1]
-    return _result("residual", t_n, boot, gamma0, seed)
+    for start in range(0, b, _BLOCK):
+        # one draw per replicate: a single (block, n) draw is another stream when n is odd
+        draws = [gen.integers(0, n, n) for _ in range(min(_BLOCK, b - start))]
+        y_b = fitted_null + pool[np.stack(draws)]
+        gamma_b, steps_b = fit_factor_only(factor.f_hat, y_b, tau, kernel)
+        boot[start:start + len(draws)] = score_statistic(
+            gamma_b, factor.u_hat, factor.f_hat, y_b, tau, kernel)[1]
+        steps += int(steps_b.sum())
+    return _result("residual", t_n, boot, gamma0, seed, steps)

@@ -10,12 +10,15 @@ V ~ K, the smoothed loss of a residual r has the closed form
 
 which this module implements per kernel family together with the kernel
 density K, its antiderivative Kbar, the gradient and Hessian of the
-sample objective, and the default bandwidth rule.  The objective, its
-gradient and its Hessian also take residuals already computed, so a
-caller that holds them does not form them twice.
+sample objective, and the default bandwidth rule.  One kernel pass over
+a residual array of any leading shape gives the objective, the gradient
+weight psi = Kbar(-r/h) - tau and the Hessian weight K(r/h)/h together,
+so a caller forms each residual block once and pays for its
+transcendental functions once.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -41,19 +44,15 @@ class KernelSpec:
             raise DimensionError(f"bandwidth must be a positive finite real, got {self.h}")
 
 
-def _gauss_pdf(t):
-    # exponent is never positive; t*t may overflow to inf for extreme
-    # arguments, in which case exp(-inf) = 0 is exactly the intended limit
-    with np.errstate(over="ignore"):
-        return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-
-
 def kernel_density(kernel, t):
     """Unscaled kernel density K(t).  K_h(t) is K(t/h)/h by composition."""
     t = np.asarray(t, dtype=float)
     fam = kernel.family
     if fam == "gaussian":
-        out = _gauss_pdf(t)
+        # exponent is never positive; t*t may overflow to inf for extreme
+        # arguments, in which case exp(-inf) = 0 is exactly the intended limit
+        with np.errstate(over="ignore"):
+            out = np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
     elif fam == "laplacian":
         out = 0.5 * np.exp(-np.abs(t))
     elif fam == "logistic":
@@ -93,32 +92,65 @@ def check_loss(r, tau):
     return out if out.ndim else float(out)
 
 
-def _abs_mean(kernel, u):
-    """A(u) = E|u + V| for V distributed with density K, elementwise."""
+def _terms(r, tau, kernel):
+    """Smoothed loss, psi = Kbar(-r/h) - tau and K(r/h)/h of residuals r, elementwise.
+
+    Each family's transcendental work is shared: the Gaussian takes one
+    normal cdf Phi(-u) and one exp, with A(u) = 2 phi(u) + u (1 - 2 Phi(-u));
+    the Laplacian one exp(-|u|); the logistic one expit(-u).
+    """
+    h = kernel.h
+    u = r / h
     fam = kernel.family
-    if fam == "gaussian":
-        return 2.0 * _gauss_pdf(u) + u * (2.0 * ndtr(u) - 1.0)
     if fam == "laplacian":
         a = np.abs(u)
-        return a + np.exp(-a)
-    if fam == "logistic":
-        return u + 2.0 * np.logaddexp(0.0, -u)
-    if fam == "uniform":
-        a = np.abs(u)
-        uc = np.clip(u, -1.0, 1.0)
-        return np.where(a <= 1.0, 0.5 * (uc * uc + 1.0), a)
-    # epanechnikov
-    a = np.abs(u)
-    uc = np.clip(u, -1.0, 1.0)
-    return np.where(a <= 1.0, 0.375 + 0.75 * uc * uc - 0.125 * uc**4, a)
+        e = np.exp(-a)
+        dens = 0.5 * e
+        cdf = np.where(u > 0, dens, 1.0 - dens)
+        abs_mean = a + e
+    elif fam == "logistic":
+        cdf = expit(-u)
+        dens = cdf * (1.0 - cdf)
+        abs_mean = u + 2.0 * np.logaddexp(0.0, -u)
+    else:
+        cdf = kernel_cdf(kernel, -u)
+        dens = kernel_density(kernel, u)
+        if fam == "gaussian":
+            abs_mean = 2.0 * dens + u * (1.0 - 2.0 * cdf)
+        else:  # uniform or epanechnikov: A(u) = |u| off the support
+            a = np.abs(u)
+            uc = np.clip(u, -1.0, 1.0)
+            inside = (0.5 * (uc * uc + 1.0) if fam == "uniform"
+                      else 0.375 + 0.75 * uc * uc - 0.125 * uc**4)
+            abs_mean = np.where(a <= 1.0, inside, a)
+    return (tau - 0.5) * r + 0.5 * h * abs_mean, cdf - tau, dens / h
 
 
 def smoothed_check(r, tau, kernel):
     """Smoothed check loss of residuals r, elementwise."""
-    r = np.asarray(r, dtype=float)
-    u = r / kernel.h
-    out = (tau - 0.5) * r + 0.5 * kernel.h * _abs_mean(kernel, u)
+    out = _terms(np.asarray(r, dtype=float), tau, kernel)[0]
     return out if out.ndim else float(out)
+
+
+class LossPass(NamedTuple):
+    """The mean loss over the last axis, psi and the Hessian weight of a residual array."""
+
+    value: float | np.ndarray
+    psi: np.ndarray
+    weight: np.ndarray
+
+
+def kernel_pass(r, tau, kernel):
+    """Evaluate the smoothed loss of residuals r of any leading shape in one kernel pass.
+
+    ``value`` is the mean of l(r) over the last axis (a float for a
+    vector of residuals), ``psi`` = Kbar(-r/h) - tau and ``weight`` =
+    K(r/h)/h, elementwise: the gradient and Hessian weights of the
+    objective.  A row of a block gives the same bits as that row alone.
+    """
+    loss, psi, weight = _terms(np.asarray(r, dtype=float), tau, kernel)
+    value = loss.mean(axis=-1)
+    return LossPass(value if value.ndim else float(value), psi, weight)
 
 
 def default_bandwidth(n, d, m, tau):
@@ -139,7 +171,9 @@ class QuantileProblem:
     weights; by default the population-style (denominator n) standard
     deviations of the columns, in which case constant columns are
     rejected.  Passing ``sigma_hat`` explicitly overrides the computation,
-    e.g. to leave an intercept column unpenalized.
+    e.g. to leave an intercept column unpenalized.  ``y`` may also be a
+    (b, n) block of responses that share the design; its residuals then
+    take a (b, dim) stack of coefficients.
     """
 
     z_hat: np.ndarray
@@ -153,12 +187,14 @@ class QuantileProblem:
 
     def __post_init__(self):
         z = np.asarray(self.z_hat, dtype=float)
-        y = np.asarray(self.y, dtype=float).ravel()
+        y = np.asarray(self.y, dtype=float)
+        if y.ndim != 2:
+            y = y.ravel()
         if z.ndim != 2:
             raise DimensionError("z_hat must be a 2-d array")
         n, dim = z.shape
-        if y.shape[0] != n:
-            raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
+        if y.shape[-1] != n:
+            raise DimensionError(f"y has length {y.shape[-1]}, expected {n}")
         if not (np.isfinite(z).all() and np.isfinite(y).all()):
             raise NonFinite("z_hat and y must be finite")
         if not 0.0 < self.tau < 1.0:
@@ -194,47 +230,32 @@ class QuantileProblem:
         return self.dim - self.n_factors
 
     def residuals(self, theta):
-        theta = np.asarray(theta, dtype=float).ravel()
-        if theta.shape[0] != self.dim:
-            raise DimensionError(f"theta has length {theta.shape[0]}, expected {self.dim}")
+        """y - z theta, or the (b, n) block y - theta z^T for a block response."""
+        theta = np.asarray(theta, dtype=float)
+        if self.y.ndim == 1:
+            theta = theta.ravel()
+        if theta.shape[-1] != self.dim:
+            raise DimensionError(f"theta has length {theta.shape[-1]}, expected {self.dim}")
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self.y - self.z_hat @ theta
+            r = self.y - theta @ self.z_hat.T
         if not np.isfinite(r).all():
             raise NonFinite("residuals overflowed; theta is too large or not finite")
         return r
 
 
-def value_from_residuals(problem, r):
-    """Sample smoothed quantile objective (1/n) sum_i l(r_i), given the residuals."""
-    return float(np.mean(smoothed_check(r, problem.tau, problem.kernel)))
-
-
-def gradient_from_residuals(problem, r):
-    """Gradient (1/n) sum_i [Kbar_h(-r_i) - tau] z_i of the objective, given the residuals."""
-    psi = kernel_cdf(problem.kernel, -r / problem.kernel.h) - problem.tau
-    return problem.z_hat.T @ psi / problem.n
-
-
 def loss_value(problem, theta):
     """Sample smoothed quantile objective (1/n) sum_i l(r_i(theta))."""
-    return value_from_residuals(problem, problem.residuals(theta))
+    return kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).value
 
 
 def loss_gradient(problem, theta):
     """Gradient (1/n) sum_i [Kbar_h(-r_i) - tau] z_i of the objective."""
-    return gradient_from_residuals(problem, problem.residuals(theta))
-
-
-def hessian_from_residuals(problem, r):
-    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective, given the residuals."""
-    h = problem.kernel.h
-    u = r / h
-    w = kernel_density(problem.kernel, u) / (h * problem.n)
-    zw = problem.z_hat * w[:, None]
-    hess = zw.T @ problem.z_hat
-    return 0.5 * (hess + hess.T)
+    psi = kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).psi
+    return problem.z_hat.T @ psi / problem.n
 
 
 def loss_hessian(problem, theta):
     """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective."""
-    return hessian_from_residuals(problem, problem.residuals(theta))
+    w = kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).weight / problem.n
+    hess = (problem.z_hat * w[:, None]).T @ problem.z_hat
+    return 0.5 * (hess + hess.T)

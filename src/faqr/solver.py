@@ -9,10 +9,12 @@ objective monotonically non-increasing without ever touching the
 Hessian.  The first outer iteration starts that search at phi0, and each
 later one at the Barzilai-Borwein quotient s'y / s's of the last step,
 floored at phi0 and rounded up to the grid phi0 * 2^(j/4) so that
-round-off in the quotient cannot steer the iterate path.  The accepted
-proposal's residuals give the next gradient, so each iterate's
-residuals are formed once.  The starting point is a Huberized expectile
-fit obtained with the same machinery.
+round-off in the quotient cannot steer the iterate path.  One kernel
+pass over a proposal's residuals gives its loss and its gradient weights
+psi, and the accepted proposal's psi gives the next gradient, so each
+iterate's residuals are formed and passed through the kernel once.  The
+starting point is a Huberized expectile fit obtained with the same
+machinery.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, InnerLoopStall
-from .smoothed_loss import gradient_from_residuals, loss_gradient, value_from_residuals
+from .smoothed_loss import kernel_pass, loss_gradient
 
 
 # Factor by which the inner loop inflates a rejected surrogate curvature;
@@ -129,11 +131,12 @@ class _QuantileLoss:
         self.problem = problem
 
     def value(self, theta):
-        r = self.problem.residuals(theta)
-        return value_from_residuals(self.problem, r), r
+        p = self.problem
+        loss = kernel_pass(p.residuals(theta), p.tau, p.kernel)
+        return loss.value, loss.psi
 
-    def gradient(self, r):
-        return gradient_from_residuals(self.problem, r)
+    def gradient(self, psi):
+        return self.problem.z_hat.T @ psi / self.problem.n
 
 
 class _HuberExpectileLoss:
@@ -167,20 +170,21 @@ def _kkt_from_gradient(g, theta, lam_sigma):
 def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     """Run the majorize-minimize loop on a smooth loss plus l1 penalty.
 
-    ``loss`` is any object whose ``value(theta)`` returns the loss and
-    the residuals at theta, and whose ``gradient(r)`` takes the gradient
-    from those residuals.  Returns (theta, outer_iters, converged, trace,
-    escalations): the penalized objective at theta0 and after each outer
-    iteration, and the number of rejected proposals.
+    ``loss`` is any object whose ``value(theta)`` returns the loss at
+    theta and what its gradient needs (the residuals, or their psi), and
+    whose ``gradient`` takes the gradient from that.  Returns (theta,
+    outer_iters, converged, trace, escalations): the penalized objective
+    at theta0 and after each outer iteration, and the number of rejected
+    proposals.
     """
     theta = np.array(theta0, dtype=float)
-    f_cur, r = loss.value(theta)
+    f_cur, carry = loss.value(theta)
     trace = [f_cur + float(lam_sigma @ np.abs(theta))]
     converged = False
     outer = escalations = 0
     phi = cfg.phi0
     for outer_next in range(1, cfg.max_outer + 1):
-        g = loss.gradient(r)
+        g = loss.gradient(carry)
         if _kkt_from_gradient(g, theta, lam_sigma) <= cfg.kkt_tol:
             converged = True
             break
@@ -193,7 +197,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
         accepted = None
         for _ in range(cfg.max_inner):
             proposal = _shrink(theta - g / phi, lam_sigma / phi)
-            f_new, r_new = loss.value(proposal)
+            f_new, carry_new = loss.value(proposal)
             delta = proposal - theta
             surrogate = f_cur + g @ delta + 0.5 * phi * (delta @ delta)
             pen_new = float(lam_sigma @ np.abs(proposal))
@@ -201,7 +205,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
             # round-off from accepting a curvature that underestimates the
             # loss, which would let the iterate orbit the optimum
             if surrogate >= f_new and f_new + pen_new <= f_cur + pen_cur:
-                accepted = (proposal, f_new, r_new, pen_new, delta)
+                accepted = (proposal, f_new, carry_new, pen_new, delta)
                 break
             phi *= _ESCALATION
             escalations += 1
@@ -210,7 +214,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
                 f"no majorizing curvature found after {cfg.max_inner} escalations; "
                 "the loss is numerically broken"
             )
-        theta, f_cur, r, pen_cur, delta = accepted
+        theta, f_cur, carry, pen_cur, delta = accepted
         trace.append(f_cur + pen_cur)
         if np.linalg.norm(delta) < cfg.tol:
             converged = True

@@ -229,7 +229,7 @@ def test_criterion_7_numerical_properties():
         from faqr.smoothed_loss import kernel_density
 
         k = pp.kernel
-        gamma0 = fit_factor_only(fm.f_hat, data.y, 0.5, k)
+        gamma0, _ = fit_factor_only(fm.f_hat, data.y, 0.5, k)
         eps0 = data.y - fm.f_hat @ gamma0
         w = kernel_density(k, -eps0 / k.h) / k.h
         u_star = weighted_project(fm.u_hat, fm.f_hat, w)

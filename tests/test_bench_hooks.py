@@ -10,6 +10,7 @@ parser must keep accepting, or every job of a workload fails.
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import faqr.harness
 import faqr.harness.cli  # the tracer resolves against loaded modules
 from faqr.harness import generate_dgp, sparse_signal_spec
 from faqr.harness.io import write_matrix_csv
+from faqr.inference import _BLOCK as BLOCK
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -89,12 +91,20 @@ def _traced_cli(tmp_path, argv):
 
 
 def test_traced_residual_adequacy_reaches_the_wrapped_test(tmp_path):
-    doc = _traced_cli(tmp_path, ["adequacy", "--method", "residual", "--reps", "100",
-                                 "--factors", "1"])
-    assert "inference.adequacy" in {name for name, *_ in doc["spans"]}
-    assert doc["counts"]["inference.null_fits"] == 101
-    # each Newton fit forms one residual vector per candidate step, plus its start
-    assert doc["counts"]["smoothed_loss.residual_evals"] <= 6 * doc["counts"]["inference.null_fits"]
+    counts = {}
+    for reps in (100, 200):
+        doc = _traced_cli(tmp_path, ["adequacy", "--method", "residual", "--reps", str(reps),
+                                     "--factors", "1"])
+        assert "inference.adequacy" in {name for name, *_ in doc["spans"]}
+        # the observed fit, then one Newton fit per block of replicates
+        assert doc["counts"]["inference.null_fits"] == 1 + math.ceil(reps / BLOCK)
+        counts[reps] = doc["counts"]
+    # the extra replicates add only block fits, each forming one residual
+    # block per round of candidate steps plus its start; a fit per replicate
+    # would add at least two residual formations per replicate
+    extra = {key: counts[200][key] - counts[100][key]
+             for key in ("inference.null_fits", "smoothed_loss.residual_evals")}
+    assert extra["smoothed_loss.residual_evals"] <= 6 * extra["inference.null_fits"] < 100
 
 
 @pytest.mark.parametrize("argv, fits", [

@@ -423,6 +423,7 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert 0.0 <= doc["p_value"] <= 1.0
         assert doc["b"] == 120
+        assert doc["newton_steps"] >= 1  # the observed factor-only fit's
         lines = [l for l in hist.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 121  # header plus one row per replicate
 
@@ -561,6 +562,24 @@ class TestCli:
         code = cli_main(["fit", "--data", str(tmp_path / "nope.csv"),
                          "--response", "y"])
         assert code == 2
+
+    def test_automatic_factor_count_on_one_column_is_an_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 1))
+        y = x[:, 0] + rng.normal(0.0, 0.3, 30)
+        message = "min(n, d) < 2, which leaves no factor count to select"
+        with pytest.raises(InputError, match=r"30x1 panel has min\(n, d\) < 2") as exc:
+            fit_faqr(DataMatrix(x=x, y=y), 0.5)
+        assert message in str(exc.value)
+        assert "--factors N" in str(exc.value) and "--plain" in str(exc.value)
+        path = tmp_path / "one_column.csv"
+        write_matrix_csv(path, np.column_stack([y, x]), header=["y", "x0"])
+        for command in ("fit", "select-factors", "adequacy"):
+            assert cli_main([command, "--data", str(path), "--response", "y"]) == 2
+            assert message in capsys.readouterr().err
+        # the documented ways out still work
+        assert cli_main(["fit", "--data", str(path), "--response", "y", "--plain",
+                         "--out", str(tmp_path / "plain.json")]) == 0
 
     def test_numerical_failure_exits_3(self, tmp_path):
         path = tmp_path / "rank1.csv"

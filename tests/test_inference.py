@@ -1,24 +1,29 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 import faqr.inference
-import faqr.smoothed_loss
 import faqr.tuning
 from faqr import (
     FactorModel,
     KernelSpec,
+    NumericalError,
     QuantileProblem,
     Singular,
     adequacy_test_multiplier,
     adequacy_test_residual,
     fit_factor_only,
+    fit_penalized,
     kernel_density,
     score_statistic,
     weighted_project,
 )
 from faqr.factor_model import DataMatrix, estimate_factors
 from faqr.harness import generate_dgp, sparse_signal_spec
+from faqr.rng import stream
 from faqr.smoothed_loss import default_bandwidth
 
 from oracles import golden_section
@@ -32,12 +37,23 @@ def benchmark_pieces(n=200, d=200, seed=0, w=0.0, noise=None):
     return data, fm, KernelSpec("gaussian", h)
 
 
+def levenberg_block():
+    """Three factors, a narrow uniform kernel, and four responses: under the
+    Cauchy noise of the first, Levenberg damping rejects candidate steps."""
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal((120, 3))
+    beta = np.array([1.0, -0.5, 0.3])
+    cauchy = f @ beta + rng.standard_t(1, 120)
+    easy = [f @ beta + rng.normal(0.0, 0.5, 120) for _ in range(3)]
+    return f, np.stack([cauchy, *easy]), KernelSpec("uniform", 0.05)
+
+
 class TestFitFactorOnly:
     def test_intercept_matches_golden_section(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(80) + 1.2
         k = KernelSpec("gaussian", 0.35)
-        gamma = fit_factor_only(np.ones((80, 1)), y, 0.3, k)
+        gamma, _ = fit_factor_only(np.ones((80, 1)), y, 0.3, k)
         from faqr import loss_value
 
         p = QuantileProblem(np.ones((80, 1)), y, 0.3, k, sigma_hat=np.ones(1))
@@ -48,8 +64,9 @@ class TestFitFactorOnly:
         rng = np.random.default_rng(2)
         f = rng.standard_normal((50, 2))
         k = KernelSpec("gaussian", 0.4)
-        gamma = fit_factor_only(f, np.zeros(50), 0.5, k)
+        gamma, steps = fit_factor_only(f, np.zeros(50), 0.5, k)
         assert np.abs(gamma).max() <= 1e-9
+        assert steps == 0  # least squares already sits at the optimum
 
     def test_monte_carlo_consistency(self):
         k = KernelSpec("gaussian", 0.2)
@@ -61,7 +78,7 @@ class TestFitFactorOnly:
                 rng = np.random.default_rng(300 + rep)
                 f = rng.standard_normal((n, 2))
                 y = f @ gamma_star + rng.normal(0.0, 0.5, n)
-                gamma = fit_factor_only(f, y, 0.5, k)
+                gamma, _ = fit_factor_only(f, y, 0.5, k)
                 per_rep.append(np.linalg.norm(gamma - gamma_star))
             errs[n] = np.mean(per_rep)
         assert errs[4500] < errs[500]
@@ -70,28 +87,77 @@ class TestFitFactorOnly:
         assert errs[4500] <= 0.05
 
     def test_each_candidate_step_forms_its_residuals_once(self, monkeypatch):
-        # the start point's residuals plus one vector per candidate step tried;
-        # every value evaluation (start and candidates) makes one smoothed_check call
-        calls = {"residuals": 0, "values": 0}
-        residuals, smoothed_check = QuantileProblem.residuals, faqr.smoothed_loss.smoothed_check
+        # the start's residual block plus one block per round of candidate
+        # steps, each passed through the kernel once; a block takes as many
+        # rounds as its slowest row, not one per row
+        calls = {"residuals": 0, "passes": 0}
+        residuals, kernel_pass = QuantileProblem.residuals, faqr.inference.kernel_pass
 
         def counting_residuals(problem, theta):
             calls["residuals"] += 1
             return residuals(problem, theta)
 
-        def counting_check(*args):
-            calls["values"] += 1
-            return smoothed_check(*args)
+        def counting_pass(*args):
+            calls["passes"] += 1
+            return kernel_pass(*args)
 
         monkeypatch.setattr(QuantileProblem, "residuals", counting_residuals)
-        monkeypatch.setattr(faqr.smoothed_loss, "smoothed_check", counting_check)
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal((120, 3))
-        y = f @ np.array([1.0, -0.5, 0.3]) + rng.standard_t(1, 120)
-        # a narrow uniform kernel under Cauchy noise makes Levenberg reject candidates
-        fit_factor_only(f, y, 0.2, KernelSpec("uniform", 0.05))
-        assert calls["values"] > 2
-        assert calls["residuals"] == calls["values"]
+        monkeypatch.setattr(faqr.inference, "kernel_pass", counting_pass)
+        f, block, k = levenberg_block()
+        alone = []
+        for row in block:
+            calls.update(residuals=0, passes=0)
+            fit_factor_only(f, row, 0.2, k)
+            assert calls["residuals"] == calls["passes"]
+            alone.append(calls["residuals"])
+        assert alone[0] > 2 + max(alone[1:])  # the Cauchy row is rejected on the way
+        calls.update(residuals=0, passes=0)
+        fit_factor_only(f, block, 0.2, k)
+        assert calls["residuals"] == calls["passes"] == max(alone)
+
+    def test_block_rows_match_their_own_fits(self):
+        f, block, k = levenberg_block()
+        gamma, steps = fit_factor_only(f, block, 0.2, k)
+        assert gamma.shape == (4, 3) and steps.shape == (4,)
+        for i, row in enumerate(block):
+            gamma_i, steps_i = fit_factor_only(f, row, 0.2, k)
+            assert np.abs(gamma[i] - gamma_i).max() <= 1e-12
+            assert steps[i] == steps_i
+        assert steps[0] > steps[1:].max()
+
+    def test_a_row_that_cannot_converge_fails_the_block(self):
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((60, 2))
+        k = KernelSpec("gaussian", 0.05)
+        easy = f @ np.array([0.5, -0.2]) + rng.normal(0.0, 0.5, 60)
+        bad = np.full(60, 1e12)  # far beyond what a 0.05 bandwidth resolves in 200 steps
+        with pytest.raises(NumericalError, match="stopped at gradient norm") as alone:
+            fit_factor_only(f, bad, 0.3, k)
+        with pytest.raises(NumericalError) as blocked:
+            fit_factor_only(f, np.stack([easy, bad, easy]), 0.3, k)
+        assert str(blocked.value) == str(alone.value)
+
+    def test_singular_step_in_a_stack_is_damped_per_row(self, monkeypatch):
+        # a stacked solve fails as a whole on one singular matrix; the rows
+        # are then solved one by one, and only the singular one (here row 0,
+        # on the first round) takes a damped retry
+        solve = np.linalg.solve
+        raised = []
+
+        def solve_with_one_singular_row(a, b):
+            if a.ndim == 3 and not raised or a.ndim == 2 and b.ndim == 1 and len(raised) == 1:
+                raised.append(a.ndim)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        f, block, k = levenberg_block()
+        want, want_steps = fit_factor_only(f, block, 0.2, k)
+        monkeypatch.setattr(np.linalg, "solve", solve_with_one_singular_row)
+        gamma, steps = fit_factor_only(f, block, 0.2, k)
+        assert raised == [3, 2]
+        assert np.abs(gamma[1:] - want[1:]).max() <= 1e-12
+        assert np.array_equal(steps[1:], want_steps[1:])
+        assert np.abs(gamma[0] - want[0]).max() <= 1e-9
 
     def test_singular_design_raises(self):
         f = np.ones((30, 2))  # duplicated columns
@@ -194,23 +260,58 @@ class TestAdequacyTests:
 
     def test_residual_replicates_are_independent(self, monkeypatch):
         data, fm, k = benchmark_pieces(n=80, d=25, seed=15)
-        fits = []
+        fits, full = [], []
 
         def recording_fit(*args, **kwargs):
-            gamma = fit_factor_only(*args, **kwargs)
-            fits.append((np.array(args[1]), gamma))
-            return gamma
+            gamma, steps = fit_factor_only(*args, **kwargs)
+            fits.append((np.array(args[1]), gamma, steps))
+            return gamma, steps
+
+        def recording_penalized(*args, **kwargs):
+            full.append(fit_penalized(*args, **kwargs))
+            return full[-1]
 
         monkeypatch.setattr(faqr.inference, "fit_factor_only", recording_fit)
-        res = adequacy_test_residual(data, fm, 0.5, k, 100, seed=6)
-        replicates = fits[1:]  # the first call is the observed fit
-        assert len(replicates) == res.b
-        for i in (0, 1, res.b - 1):
-            y_b, gamma_b = replicates[i]
-            alone = fit_factor_only(fm.f_hat, y_b, 0.5, k)
-            assert np.array_equal(alone, gamma_b)
-            stat = score_statistic(alone, fm.u_hat, fm.f_hat, y_b, 0.5, k)[1]
-            assert stat == res.boot_stats[i]
+        monkeypatch.setattr(faqr.inference, "fit_penalized", recording_penalized)
+        b, tau = 150, 0.5
+        res = adequacy_test_residual(data, fm, tau, k, b, seed=6)
+        # the observed fit, then one call per block of replicates, in order
+        assert len(fits) == 1 + math.ceil(b / faqr.inference._BLOCK)
+        y_blocks = np.concatenate([y_b for y_b, _, _ in fits[1:]])
+        gammas = np.concatenate([gamma for _, gamma, _ in fits[1:]])
+        steps = np.concatenate([s for _, _, s in fits[1:]])
+        assert res.newton_steps == fits[0][2] + steps.sum()
+        # the serial draws: one index row per replicate from the one bootstrap stream
+        (fit,) = full
+        z = np.hstack([fm.u_hat, fm.f_hat])
+        eps = data.y - z @ fit.theta_hat
+        pool = eps - np.quantile(eps, tau)
+        gen = stream(6, faqr.inference._BOOTSTRAP)
+        for i in range(b):
+            y_i = fm.f_hat @ fit.gamma_hat + pool[gen.integers(0, data.n, data.n)]
+            assert np.array_equal(y_blocks[i], y_i)
+            # a replicate fitted alone, from its own least-squares start, takes the
+            # same Newton steps to the same coefficients and statistic
+            alone, steps_i = fit_factor_only(fm.f_hat, y_i, tau, k)
+            assert steps[i] == steps_i
+            assert np.abs(gammas[i] - alone).max() <= 1e-12
+            stat = score_statistic(alone, fm.u_hat, fm.f_hat, y_i, tau, k)[1]
+            assert abs(stat - res.boot_stats[i]) <= 1e-12
+
+    def test_residual_peak_memory_does_not_grow_with_b(self):
+        # replicates are refitted in fixed blocks: going from 100 to 1000 of
+        # them adds 7.2 kB of statistics, while one (b, n) array at b = 1000
+        # would add 1.6 MB; numpy reports its buffers to tracemalloc
+        data, fm, k = benchmark_pieces(n=200, d=40, seed=16)
+        peaks = []
+        for b in (100, 1000):
+            tracemalloc.start()
+            try:
+                adequacy_test_residual(data, fm, 0.5, k, b, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
     @pytest.mark.parametrize("test", [adequacy_test_multiplier, adequacy_test_residual])
     def test_stream_count_does_not_grow_with_b(self, monkeypatch, test):

@@ -14,6 +14,7 @@ from faqr import (
     default_bandwidth,
     kernel_cdf,
     kernel_density,
+    kernel_pass,
     loss_gradient,
     loss_hessian,
     loss_value,
@@ -139,6 +140,41 @@ class TestLossValue:
             loss_value(p, np.full(p.dim, 1e308))
         with pytest.raises(NonFinite):
             loss_value(p, np.full(p.dim, np.nan))
+
+
+class TestKernelPass:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_separate_kernel_functions(self, family):
+        rng = np.random.default_rng(31)
+        r = np.concatenate([rng.uniform(-4, 4, 300), [0.0, 0.3, -0.3, 1e6, -1e6]])
+        for tau in (0.2, 0.5, 0.85):
+            k = KernelSpec(family, 0.6)
+            got = kernel_pass(r, tau, k)
+            assert got.value == pytest.approx(np.mean(smoothed_check(r, tau, k)), abs=1e-12)
+            assert np.allclose(got.psi, kernel_cdf(k, -r / k.h) - tau, rtol=0, atol=1e-12)
+            assert np.allclose(got.weight, kernel_density(k, r / k.h) / k.h, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_value_matches_quadrature_oracle(self, family):
+        rng = np.random.default_rng(37)
+        r = rng.uniform(-3, 3, 4)
+        tau, k = 0.3, KernelSpec(family, 0.8)
+        ref = np.mean([smoothed_check_by_quadrature(float(ri), tau, k) for ri in r])
+        assert kernel_pass(r, tau, k).value == pytest.approx(ref, abs=2e-8, rel=1e-7)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_rows_give_the_bits_of_single_rows(self, family):
+        rng = np.random.default_rng(41)
+        block = rng.standard_t(2, (5, 97))
+        k = KernelSpec(family, 0.4)
+        whole = kernel_pass(block, 0.35, k)
+        assert whole.value.shape == (5,) and whole.psi.shape == whole.weight.shape == (5, 97)
+        for i, row in enumerate(block):
+            alone = kernel_pass(row, 0.35, k)
+            assert isinstance(alone.value, float)
+            assert alone.value == whole.value[i]
+            assert np.array_equal(alone.psi, whole.psi[i])
+            assert np.array_equal(alone.weight, whole.weight[i])
 
 
 class TestLossGradient:
