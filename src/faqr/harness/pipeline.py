@@ -81,11 +81,6 @@ class PipelineResult:
         return self.design.rows(x) @ self.fit.theta_hat
 
 
-def _require_response(data, what="pipeline fitting"):
-    if data.y is None:
-        raise InputError(f"{what} needs a response column")
-
-
 def factor_step(data, tau, config, factors=True):
     """The config's design: centering, the factor model unless ``factors`` is false, the kernel."""
     means = data.x.mean(axis=0) if config.center else np.zeros(data.d)
@@ -114,7 +109,8 @@ def factor_step(data, tau, config, factors=True):
 def _fit(data, tau, config, factors):
     """Tuning and the penalized fit on z = [u_hat, f_hat], or on the columns."""
     config = config or PipelineConfig()
-    _require_response(data)
+    if data.y is None:
+        raise InputError("pipeline fitting needs a response column")
     design = factor_step(data, tau, config, factors)
     fm = design.factor_model
     z = design.data.x if fm is None else np.hstack([fm.u_hat, fm.f_hat])
@@ -159,7 +155,6 @@ def run_adequacy(data, tau, config, method, b, seed):
     """
     if method not in ADEQUACY_METHODS:
         raise InputError(f"unknown adequacy method {method!r}; choose from {ADEQUACY_METHODS}")
-    _require_response(data, "the adequacy test")
     design = factor_step(data, tau, config)
     args = (design.data, design.factor_model, tau, design.kernel, b, seed)
     if method == "multiplier":

@@ -13,10 +13,13 @@ the full (penalized) model; each refit starts from least squares, so the
 replicates are independent.  The refits run in blocks of a fixed number
 of replicates through the one damped Newton loop of the factor-only fit,
 which forms a block's residuals once per round and passes them through
-the kernel once.  Both calibrations share the observed side
-(input checks, the null fit and t_n) and the p-value, the share of
-replicates strictly above t_n.  ``faqr.harness.pipeline.run_adequacy``
-runs the factor step and picks the calibration from a pipeline config.
+the kernel once.  That loop hands back the psi = Kbar_h(-r) - tau and
+the weights K_h(r) of its last accepted pass, so the projection weights
+and every score statistic come from the fit's own kernel pass.  Both
+calibrations share the observed side (input checks, the null fit and
+t_n) and the p-value, the share of replicates strictly above t_n.
+``faqr.harness.pipeline.run_adequacy`` runs the factor step and picks
+the calibration from a pipeline config.
 """
 
 from dataclasses import dataclass, replace
@@ -26,13 +29,7 @@ from scipy.special import ndtri
 
 from .errors import DimensionError, InputError, NumericalError, Singular
 from .rng import derive_seed, stream
-from .smoothed_loss import (
-    KernelSpec,
-    QuantileProblem,
-    kernel_cdf,
-    kernel_density,
-    kernel_pass,
-)
+from .smoothed_loss import KernelSpec, QuantileProblem, kernel_cdf, kernel_pass
 from .solver import fit_penalized
 from .tuning import LambdaRule, select_lambda
 
@@ -99,14 +96,17 @@ def fit_factor_only(f_hat, y, tau, kernel):
     """Unpenalized smoothed quantile fits of responses on the factors alone.
 
     ``y`` is one response of length n or a (b, n) block of them.  Returns
-    gamma, of shape (m,) or (b, m), and the accepted Newton steps, an int
-    or one per row.  Every row starts from least squares (one product
-    for the block) and takes damped Newton steps with its own acceptance
-    test, Levenberg damping and stop; the dimension is the number of
-    factors, so each step is tiny.  The rows share one loop: each round
-    forms the candidate residuals of the unfinished rows as one block,
-    whose one kernel pass gives their values and, for the rows that
-    accept, the next gradient and Hessian.
+    (gamma, steps, psi, weight): gamma of shape (m,) or (b, m), the
+    accepted Newton steps (an int or one per row), and psi =
+    Kbar_h(-r) - tau and weight = K_h(r) of the residuals r at gamma,
+    shaped like y, from the last accepted kernel pass.  Every row starts
+    from least squares (one product for the block) and takes damped
+    Newton steps with its own acceptance test, Levenberg damping and
+    stop; the dimension is the number of factors, so each step is tiny.
+    The rows share one loop: each round forms the candidate residuals of
+    the unfinished rows as one block, whose one kernel pass gives their
+    values and, for the rows that accept, their psi, weights and the next
+    gradient and Hessian.
     """
     f_hat = np.asarray(f_hat, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -131,6 +131,7 @@ def fit_factor_only(f_hat, y, tau, kernel):
 
     rows = np.arange(block.shape[0])  # the unfinished rows of the block
     gamma_out, steps_out = np.empty((rows.size, m)), np.zeros(rows.size, dtype=int)
+    psi_out, weight_out = np.empty(block.shape), np.empty(block.shape)
     current = problem(rows)
     gamma = np.linalg.solve(gram, f_hat.T @ current.y.T).T
     val, psi, weight = kernel_pass(current.residuals(gamma), tau, kernel)
@@ -145,10 +146,12 @@ def fit_factor_only(f_hat, y, tau, kernel):
             raise NumericalError(f"factor-only fit stopped at gradient norm {worst:.2e}")
         done = spent | (gnorm <= _GTOL)
         if done.any():
-            gamma_out[rows[done]], steps_out[rows[done]] = gamma[done], steps[done]
+            finished = rows[done]
+            gamma_out[finished], steps_out[finished] = gamma[done], steps[done]
+            psi_out[finished], weight_out[finished] = psi[done], weight[done]
             keep = ~done
-            rows, gamma, val, g, hess, scale, mu, steps, tries = (
-                a[keep] for a in (rows, gamma, val, g, hess, scale, mu, steps, tries)
+            rows, gamma, val, psi, weight, g, hess, scale, mu, steps, tries = (
+                a[keep] for a in (rows, gamma, val, psi, weight, g, hess, scale, mu, steps, tries)
             )
             if not rows.size:
                 break
@@ -161,14 +164,15 @@ def fit_factor_only(f_hat, y, tau, kernel):
                       np.maximum(mu * 4.0, 1e-6 * scale))
         if moved.any():
             gamma[moved], val[moved] = cand[moved], cand_val[moved]
-            g[moved], hess[moved], scale[moved] = derivatives(cand_psi[moved], cand_weight[moved])
+            psi[moved], weight[moved] = cand_psi[moved], cand_weight[moved]
+            g[moved], hess[moved], scale[moved] = derivatives(psi[moved], weight[moved])
         steps += moved
         tries = np.where(moved, 0, tries + 1)
         if np.any(tries == _TRIES):
             raise NumericalError("factor-only fit failed to make progress")
     if y.ndim == 2:
-        return gamma_out, steps_out
-    return gamma_out[0], int(steps_out[0])
+        return gamma_out, steps_out, psi_out, weight_out
+    return gamma_out[0], int(steps_out[0]), psi_out[0], weight_out[0]
 
 
 def weighted_project(u_hat, f_hat, k_weights):
@@ -192,20 +196,17 @@ def weighted_project(u_hat, f_hat, k_weights):
     return u_hat - a @ np.linalg.solve(gram, a.T @ u_hat)
 
 
-def score_statistic(gamma, u_star, f_hat, y, tau, kernel):
+def score_statistic(psi, u):
     """Rescaled marginal score vector and its sup-norm.
 
-    s = (1/n) sum_i [Kbar_h(-r_i(gamma)) - tau] u*_i with
-    r_i(gamma) = y_i - f_i^T gamma; returns (s, max_j |s_j|).  A (b, n)
-    block y with (b, m) gamma scores every row with one product: s is
-    (b, d) and the sup-norms a vector.
+    s = (1/n) sum_i psi_i u_i, with psi_i = Kbar_h(-r_i) - tau at the
+    factor-only fit (as ``fit_factor_only`` returns it) or any other
+    per-observation score weight; returns (s, max_j |s_j|).  A (b, n)
+    block of psi scores every row with one product: s is (b, d) and the
+    sup-norms a vector.
     """
-    u_star = np.asarray(u_star, dtype=float)
-    f_hat = np.asarray(f_hat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = y - np.asarray(gamma, dtype=float) @ f_hat.T
-    psi = kernel_cdf(kernel, -r / kernel.h) - tau
-    s = psi @ u_star / y.shape[-1]
+    psi = np.asarray(psi, dtype=float)
+    s = psi @ np.asarray(u, dtype=float) / psi.shape[-1]
     t_n = np.abs(s).max(axis=-1, initial=0.0)
     return s, t_n if t_n.ndim else float(t_n)
 
@@ -216,10 +217,7 @@ def _observed(data, factor, tau, kernel, b):
         raise InputError("adequacy test needs a response column")
     if b < 100:
         raise DimensionError("use at least 100 bootstrap replicates")
-    y = data.y
-    gamma0, steps = fit_factor_only(factor.f_hat, y, tau, kernel)
-    eps0 = y - factor.f_hat @ gamma0
-    w = kernel_density(kernel, -eps0 / kernel.h) / kernel.h
+    gamma0, steps, psi, w = fit_factor_only(factor.f_hat, data.y, tau, kernel)
     u_star = weighted_project(factor.u_hat, factor.f_hat, w)
     # defining identity of the projection, asserted on every run
     worst = np.abs(factor.f_hat.T @ (w[:, None] * u_star)).max()
@@ -227,8 +225,7 @@ def _observed(data, factor, tau, kernel, b):
         raise Singular(
             f"weighted projection lost orthogonality (residual {worst:.2e})"
         )
-    _, t_n = score_statistic(gamma0, u_star, factor.f_hat, y, tau, kernel)
-    return gamma0, steps, t_n, u_star
+    return gamma0, steps, score_statistic(psi, u_star)[1], u_star
 
 
 def _result(method, t_n, boot, gamma0, seed, newton_steps):
@@ -255,7 +252,7 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
         w = 2.0 * gen.integers(0, 2, n) - 1.0
         e = gen.normal(shift, 1.0, n)
         psi = tau - kernel_cdf(kernel, e / kernel.h)
-        boot[i] = np.abs(u_star.T @ (w * psi)).max() / n
+        boot[i] = score_statistic(w * psi, u_star)[1]
     return _result("multiplier", t_n, boot, gamma0, seed, steps)
 
 
@@ -267,7 +264,7 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None)
     centered so their empirical tau-quantile is zero, which makes the
     null hold exactly in the bootstrap world.  Each replicate resamples
     them, rebuilds a null-model response, refits the factor-only
-    coefficients, and recomputes the score statistic using the raw
+    coefficients, and scores the refit's psi against the raw
     idiosyncratic columns.  ``lambda_rule`` sets the tuning's c0, alpha
     and n_sim; its seed is always derived from ``seed`` under a purpose
     tag of its own.  The replicates draw their resampling indices from
@@ -296,8 +293,7 @@ def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None)
         # one draw per replicate: a single (block, n) draw is another stream when n is odd
         draws = [gen.integers(0, n, n) for _ in range(min(_BLOCK, b - start))]
         y_b = fitted_null + pool[np.stack(draws)]
-        gamma_b, steps_b = fit_factor_only(factor.f_hat, y_b, tau, kernel)
-        boot[start:start + len(draws)] = score_statistic(
-            gamma_b, factor.u_hat, factor.f_hat, y_b, tau, kernel)[1]
+        _, steps_b, psi_b, _ = fit_factor_only(factor.f_hat, y_b, tau, kernel)
+        boot[start:start + len(draws)] = score_statistic(psi_b, factor.u_hat)[1]
         steps += int(steps_b.sum())
     return _result("residual", t_n, boot, gamma0, seed, steps)

@@ -10,11 +10,13 @@ V ~ K, the smoothed loss of a residual r has the closed form
 
 which this module implements per kernel family together with the kernel
 density K, its antiderivative Kbar, the gradient and Hessian of the
-sample objective, and the default bandwidth rule.  One kernel pass over
-a residual array of any leading shape gives the objective, the gradient
-weight psi = Kbar(-r/h) - tau and the Hessian weight K(r/h)/h together,
-so a caller forms each residual block once and pays for its
-transcendental functions once.
+sample objective, and the default bandwidth rule.  Each family's Kbar and
+K are written once, in one function that gives Kbar(-u) and K(u) from
+shared transcendentals; ``kernel_cdf``, ``kernel_density`` and the kernel
+pass all read it.  One kernel pass over a residual array of any leading
+shape gives the objective, the gradient weight psi = Kbar(-r/h) - tau
+and the Hessian weight K(r/h)/h together, so a caller forms each
+residual block once and pays for its transcendental functions once.
 """
 
 from dataclasses import dataclass, field
@@ -44,44 +46,41 @@ class KernelSpec:
             raise DimensionError(f"bandwidth must be a positive finite real, got {self.h}")
 
 
-def kernel_density(kernel, t):
-    """Unscaled kernel density K(t).  K_h(t) is K(t/h)/h by composition."""
-    t = np.asarray(t, dtype=float)
-    fam = kernel.family
-    if fam == "gaussian":
-        # exponent is never positive; t*t may overflow to inf for extreme
+def _cdf_density(family, u):
+    """(Kbar(-u), K(u)) of the unscaled kernel, sharing each family's transcendentals.
+
+    The Gaussian takes one normal cdf and one exp, the Laplacian one
+    exp(-|u|), the logistic one expit(-u).
+    """
+    if family == "gaussian":
+        # exponent is never positive; u*u may overflow to inf for extreme
         # arguments, in which case exp(-inf) = 0 is exactly the intended limit
         with np.errstate(over="ignore"):
-            out = np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-    elif fam == "laplacian":
-        out = 0.5 * np.exp(-np.abs(t))
-    elif fam == "logistic":
-        s = expit(t)
-        out = s * (1.0 - s)
-    elif fam == "uniform":
-        out = np.where(np.abs(t) <= 1.0, 0.5, 0.0)
-    else:  # epanechnikov
-        tc = np.clip(t, -1.0, 1.0)
-        out = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - tc * tc), 0.0)
+            return ndtr(-u), np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    if family == "laplacian":
+        dens = 0.5 * np.exp(-np.abs(u))
+        return np.where(u > 0, dens, 1.0 - dens), dens
+    if family == "logistic":
+        cdf = expit(-u)
+        return cdf, cdf * (1.0 - cdf)
+    inside = np.abs(u) <= 1.0
+    if family == "uniform":
+        return np.clip(0.5 * (1.0 - u), 0.0, 1.0), np.where(inside, 0.5, 0.0)
+    # epanechnikov, written in v = -u: numpy's x**3 is not odd to the bit,
+    # and kernel_cdf's Kbar(t) must cube t itself
+    v = np.clip(-u, -1.0, 1.0)
+    return 0.5 + 0.75 * v - 0.25 * v**3, np.where(inside, 0.75 * (1.0 - v * v), 0.0)
+
+
+def kernel_density(kernel, t):
+    """Unscaled kernel density K(t).  K_h(t) is K(t/h)/h by composition."""
+    out = _cdf_density(kernel.family, np.asarray(t, dtype=float))[1]
     return out if out.ndim else float(out)
 
 
 def kernel_cdf(kernel, t):
     """Kernel antiderivative Kbar(t), the integral of K over (-inf, t]."""
-    t = np.asarray(t, dtype=float)
-    fam = kernel.family
-    if fam == "gaussian":
-        out = ndtr(t)
-    elif fam == "laplacian":
-        a = np.exp(-np.abs(t))
-        out = np.where(t < 0, 0.5 * a, 1.0 - 0.5 * a)
-    elif fam == "logistic":
-        out = expit(t)
-    elif fam == "uniform":
-        out = np.clip(0.5 * (t + 1.0), 0.0, 1.0)
-    else:  # epanechnikov
-        tc = np.clip(t, -1.0, 1.0)
-        out = 0.5 + 0.75 * tc - 0.25 * tc**3
+    out = _cdf_density(kernel.family, -np.asarray(t, dtype=float))[0]
     return out if out.ndim else float(out)
 
 
@@ -95,34 +94,27 @@ def check_loss(r, tau):
 def _terms(r, tau, kernel):
     """Smoothed loss, psi = Kbar(-r/h) - tau and K(r/h)/h of residuals r, elementwise.
 
-    Each family's transcendental work is shared: the Gaussian takes one
-    normal cdf Phi(-u) and one exp, with A(u) = 2 phi(u) + u (1 - 2 Phi(-u));
-    the Laplacian one exp(-|u|); the logistic one expit(-u).
+    With Kbar(-u) and K(u) from one kernel evaluation, A(u) is
+    2 K(u) + u (1 - 2 Kbar(-u)) for the Gaussian, |u| + 2 K(u) for the
+    Laplacian, u + 2 log(1 + e^(-u)) for the logistic, and |u| off the
+    support of the two compact kernels.
     """
     h = kernel.h
     u = r / h
     fam = kernel.family
-    if fam == "laplacian":
-        a = np.abs(u)
-        e = np.exp(-a)
-        dens = 0.5 * e
-        cdf = np.where(u > 0, dens, 1.0 - dens)
-        abs_mean = a + e
+    cdf, dens = _cdf_density(fam, u)
+    if fam == "gaussian":
+        abs_mean = 2.0 * dens + u * (1.0 - 2.0 * cdf)
+    elif fam == "laplacian":
+        abs_mean = np.abs(u) + 2.0 * dens
     elif fam == "logistic":
-        cdf = expit(-u)
-        dens = cdf * (1.0 - cdf)
         abs_mean = u + 2.0 * np.logaddexp(0.0, -u)
     else:
-        cdf = kernel_cdf(kernel, -u)
-        dens = kernel_density(kernel, u)
-        if fam == "gaussian":
-            abs_mean = 2.0 * dens + u * (1.0 - 2.0 * cdf)
-        else:  # uniform or epanechnikov: A(u) = |u| off the support
-            a = np.abs(u)
-            uc = np.clip(u, -1.0, 1.0)
-            inside = (0.5 * (uc * uc + 1.0) if fam == "uniform"
-                      else 0.375 + 0.75 * uc * uc - 0.125 * uc**4)
-            abs_mean = np.where(a <= 1.0, inside, a)
+        a = np.abs(u)
+        uc = np.clip(u, -1.0, 1.0)
+        inside = (0.5 * (uc * uc + 1.0) if fam == "uniform"
+                  else 0.375 + 0.75 * uc * uc - 0.125 * uc**4)
+        abs_mean = np.where(a <= 1.0, inside, a)
     return (tau - 0.5) * r + 0.5 * h * abs_mean, cdf - tau, dens / h
 
 

@@ -11,10 +11,10 @@ later one at the Barzilai-Borwein quotient s'y / s's of the last step,
 floored at phi0 and rounded up to the grid phi0 * 2^(j/4) so that
 round-off in the quotient cannot steer the iterate path.  One kernel
 pass over a proposal's residuals gives its loss and its gradient weights
-psi, and the accepted proposal's psi gives the next gradient, so each
-iterate's residuals are formed and passed through the kernel once.  The
-starting point is a Huberized expectile fit obtained with the same
-machinery.
+psi, and the accepted proposal's psi gives the next gradient and, for
+the last iterate, the reported KKT residual, so each iterate's residuals
+are formed and passed through the kernel once.  The starting point is a
+Huberized expectile fit obtained with the same machinery.
 """
 
 import math
@@ -173,9 +173,10 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     ``loss`` is any object whose ``value(theta)`` returns the loss at
     theta and what its gradient needs (the residuals, or their psi), and
     whose ``gradient`` takes the gradient from that.  Returns (theta,
-    outer_iters, converged, trace, escalations): the penalized objective
-    at theta0 and after each outer iteration, and the number of rejected
-    proposals.
+    outer_iters, converged, trace, escalations, carry): the penalized
+    objective at theta0 and after each outer iteration, the number of
+    rejected proposals, and what ``value`` returned at theta for its
+    gradient.
     """
     theta = np.array(theta0, dtype=float)
     f_cur, carry = loss.value(theta)
@@ -219,7 +220,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
         if np.linalg.norm(delta) < cfg.tol:
             converged = True
             break
-    return theta, outer, converged, tuple(trace), escalations
+    return theta, outer, converged, tuple(trace), escalations, carry
 
 
 def kkt_residual(problem, theta, lam):
@@ -276,7 +277,8 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
     if warm is None:
         warm = warm_start_expectile(problem, lam, cfg)
     loss = _QuantileLoss(problem)
-    theta, outer, converged, trace, esc = _lamm_minimize(loss, warm, lam * problem.sigma_hat, cfg)
+    lam_sigma = lam * problem.sigma_hat
+    theta, outer, converged, trace, esc, psi = _lamm_minimize(loss, warm, lam_sigma, cfg)
     return FaqrFit(
         theta_hat=theta,
         lam=float(lam),
@@ -287,7 +289,7 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
         n_factors=problem.n_factors,
         n_outer_iters=outer,
         final_objective=trace[-1],
-        kkt_residual=kkt_residual(problem, theta, lam),
+        kkt_residual=_kkt_from_gradient(loss.gradient(psi), theta, lam_sigma),
         converged=converged,
         objective_trace=trace,
         n_escalations=esc,

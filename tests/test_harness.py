@@ -581,6 +581,24 @@ class TestCli:
         assert cli_main(["fit", "--data", str(path), "--response", "y", "--plain",
                          "--out", str(tmp_path / "plain.json")]) == 0
 
+    def test_a_panel_without_a_response_is_an_input_error(self, csv_path, tmp_path, capsys):
+        # the pipelines and both adequacy calibrations each name the missing
+        # response once, from the library and as the CLI's exit 2
+        data = load_csv(csv_path)
+        assert data.y is None
+        for pipeline in (fit_faqr, fit_qr_plain):
+            with pytest.raises(InputError, match="needs a response column"):
+                pipeline(data, 0.5)
+        for method in ("multiplier", "residual"):
+            with pytest.raises(InputError, match="needs a response column"):
+                run_adequacy(data, 0.5, PipelineConfig(), method, 100, 0)
+        for argv in (["fit"], ["fit", "--plain"], ["adequacy", "--method", "multiplier"],
+                     ["adequacy", "--method", "residual"]):
+            out = tmp_path / "out.json"
+            assert cli_main(argv + ["--data", str(csv_path), "--out", str(out)]) == 2, argv
+            assert "needs a response column" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path):
         path = tmp_path / "rank1.csv"
         col = np.arange(1.0, 9.0)

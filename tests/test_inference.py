@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import integrate
 
 import faqr.inference
+import faqr.smoothed_loss
 import faqr.tuning
 from faqr import (
     FactorModel,
@@ -18,6 +20,7 @@ from faqr import (
     fit_factor_only,
     fit_penalized,
     kernel_density,
+    kernel_pass,
     score_statistic,
     weighted_project,
 )
@@ -53,7 +56,7 @@ class TestFitFactorOnly:
         rng = np.random.default_rng(1)
         y = rng.standard_normal(80) + 1.2
         k = KernelSpec("gaussian", 0.35)
-        gamma, _ = fit_factor_only(np.ones((80, 1)), y, 0.3, k)
+        gamma = fit_factor_only(np.ones((80, 1)), y, 0.3, k)[0]
         from faqr import loss_value
 
         p = QuantileProblem(np.ones((80, 1)), y, 0.3, k, sigma_hat=np.ones(1))
@@ -64,7 +67,7 @@ class TestFitFactorOnly:
         rng = np.random.default_rng(2)
         f = rng.standard_normal((50, 2))
         k = KernelSpec("gaussian", 0.4)
-        gamma, steps = fit_factor_only(f, np.zeros(50), 0.5, k)
+        gamma, steps, _, _ = fit_factor_only(f, np.zeros(50), 0.5, k)
         assert np.abs(gamma).max() <= 1e-9
         assert steps == 0  # least squares already sits at the optimum
 
@@ -78,7 +81,7 @@ class TestFitFactorOnly:
                 rng = np.random.default_rng(300 + rep)
                 f = rng.standard_normal((n, 2))
                 y = f @ gamma_star + rng.normal(0.0, 0.5, n)
-                gamma, _ = fit_factor_only(f, y, 0.5, k)
+                gamma = fit_factor_only(f, y, 0.5, k)[0]
                 per_rep.append(np.linalg.norm(gamma - gamma_star))
             errs[n] = np.mean(per_rep)
         assert errs[4500] < errs[500]
@@ -117,13 +120,24 @@ class TestFitFactorOnly:
 
     def test_block_rows_match_their_own_fits(self):
         f, block, k = levenberg_block()
-        gamma, steps = fit_factor_only(f, block, 0.2, k)
+        gamma, steps, _, _ = fit_factor_only(f, block, 0.2, k)
         assert gamma.shape == (4, 3) and steps.shape == (4,)
         for i, row in enumerate(block):
-            gamma_i, steps_i = fit_factor_only(f, row, 0.2, k)
+            gamma_i, steps_i, _, _ = fit_factor_only(f, row, 0.2, k)
             assert np.abs(gamma[i] - gamma_i).max() <= 1e-12
             assert steps[i] == steps_i
         assert steps[0] > steps[1:].max()
+
+    def test_psi_and_weight_are_the_kernel_pass_at_gamma(self):
+        # what the fit hands back is its last accepted pass: psi and K_h at
+        # the returned gamma, per row of a block and for a single response
+        f, block, k = levenberg_block()
+        for y in (block, block[0]):
+            gamma, _, psi, weight = fit_factor_only(f, y, 0.2, k)
+            assert psi.shape == weight.shape == y.shape
+            want = kernel_pass(y - gamma @ f.T, 0.2, k)
+            assert np.abs(psi - want.psi).max() <= 1e-12
+            assert np.abs(weight - want.weight).max() <= 1e-12
 
     def test_a_row_that_cannot_converge_fails_the_block(self):
         rng = np.random.default_rng(8)
@@ -151,9 +165,9 @@ class TestFitFactorOnly:
             return solve(a, b)
 
         f, block, k = levenberg_block()
-        want, want_steps = fit_factor_only(f, block, 0.2, k)
+        want, want_steps, _, _ = fit_factor_only(f, block, 0.2, k)
         monkeypatch.setattr(np.linalg, "solve", solve_with_one_singular_row)
-        gamma, steps = fit_factor_only(f, block, 0.2, k)
+        gamma, steps, _, _ = fit_factor_only(f, block, 0.2, k)
         assert raised == [3, 2]
         assert np.abs(gamma[1:] - want[1:]).max() <= 1e-12
         assert np.array_equal(steps[1:], want_steps[1:])
@@ -204,8 +218,9 @@ class TestWeightedProject:
 class TestScoreStatistic:
     def test_zero_directions(self):
         f = np.ones((15, 1))
-        s, t_n = score_statistic(np.zeros(1), np.zeros((15, 4)), f, np.ones(15), 0.5,
-                                 KernelSpec("gaussian", 0.3))
+        k = KernelSpec("gaussian", 0.3)
+        psi = kernel_pass(np.ones(15) - f @ np.zeros(1), 0.5, k).psi
+        s, t_n = score_statistic(psi, np.zeros((15, 4)))
         assert t_n == 0.0
         assert np.array_equal(s, np.zeros(4))
 
@@ -214,8 +229,8 @@ class TestScoreStatistic:
         u_star = rng.standard_normal((30, 5))
         f = rng.standard_normal((30, 1))
         y = np.full(30, 1e5)  # residuals far above the bandwidth
-        s, t_n = score_statistic(np.zeros(1), u_star, f, y, 0.3,
-                                 KernelSpec("gaussian", 0.5))
+        psi = kernel_pass(y - f @ np.zeros(1), 0.3, KernelSpec("gaussian", 0.5)).psi
+        s, t_n = score_statistic(psi, u_star)
         ref = -0.3 * u_star.mean(axis=0)
         assert np.abs(s - ref).max() <= 1e-12
 
@@ -228,7 +243,7 @@ class TestScoreStatistic:
         gamma = rng.standard_normal(m)
         tau, h = 0.4, 0.6
         k = KernelSpec("gaussian", h)
-        s, t_n = score_statistic(gamma, u_star, f, y, tau, k)
+        s, t_n = score_statistic(kernel_pass(y - f @ gamma, tau, k).psi, u_star)
         ref = np.zeros(d)
         for i in range(n):
             r_i = y[i] - f[i] @ gamma
@@ -263,9 +278,9 @@ class TestAdequacyTests:
         fits, full = [], []
 
         def recording_fit(*args, **kwargs):
-            gamma, steps = fit_factor_only(*args, **kwargs)
-            fits.append((np.array(args[1]), gamma, steps))
-            return gamma, steps
+            out = fit_factor_only(*args, **kwargs)
+            fits.append((np.array(args[1]), *out[:2]))
+            return out
 
         def recording_penalized(*args, **kwargs):
             full.append(fit_penalized(*args, **kwargs))
@@ -292,11 +307,40 @@ class TestAdequacyTests:
             assert np.array_equal(y_blocks[i], y_i)
             # a replicate fitted alone, from its own least-squares start, takes the
             # same Newton steps to the same coefficients and statistic
-            alone, steps_i = fit_factor_only(fm.f_hat, y_i, tau, k)
+            alone, steps_i, psi_i, _ = fit_factor_only(fm.f_hat, y_i, tau, k)
             assert steps[i] == steps_i
             assert np.abs(gammas[i] - alone).max() <= 1e-12
-            stat = score_statistic(alone, fm.u_hat, fm.f_hat, y_i, tau, k)[1]
+            stat = score_statistic(psi_i, fm.u_hat)[1]
             assert abs(stat - res.boot_stats[i]) <= 1e-12
+
+    def test_residual_test_passes_each_residual_array_through_the_kernel_once(
+            self, monkeypatch):
+        # the projection weights, t_n and every replicate statistic come from
+        # the factor-only fits' own kernel passes: no separate cdf or density
+        # evaluation, and one pass per residual array that inference forms
+        calls = {"residuals": 0, "passes": 0}
+        residuals, kernel_pass = QuantileProblem.residuals, faqr.inference.kernel_pass
+
+        def counting_residuals(problem, theta):
+            if sys._getframe(1).f_globals["__name__"] == "faqr.inference":
+                calls["residuals"] += 1
+            return residuals(problem, theta)
+
+        def counting_pass(*args):
+            calls["passes"] += 1
+            return kernel_pass(*args)
+
+        def forbidden(*args):
+            raise AssertionError("a separate kernel evaluation on the residual test's path")
+
+        monkeypatch.setattr(QuantileProblem, "residuals", counting_residuals)
+        monkeypatch.setattr(faqr.inference, "kernel_pass", counting_pass)
+        for module in (faqr.smoothed_loss, faqr.inference):
+            monkeypatch.setattr(module, "kernel_cdf", forbidden)
+        monkeypatch.setattr(faqr.smoothed_loss, "kernel_density", forbidden)
+        data, fm, k = benchmark_pieces(n=80, d=25, seed=10)
+        adequacy_test_residual(data, fm, 0.5, k, 100, seed=22)
+        assert calls["residuals"] == calls["passes"] > 0
 
     def test_residual_peak_memory_does_not_grow_with_b(self):
         # replicates are refitted in fixed blocks: going from 100 to 1000 of

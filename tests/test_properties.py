@@ -2,11 +2,12 @@
 
 The panels cover n < d, n > d and d = 1, a constant, a near-constant
 or a duplicated column, Gaussian or t(1) noise, any tau in
-[0.01, 0.99], and centering on or off.  A fit, or a short backtest,
-must end in finite coefficients and predictions, or raise a
-``FaqrError``; a raw numpy exception, a floating-point warning or a
-NaN fails the test.  Examples are derandomized, so every run checks
-the same cases.
+[0.01, 0.99], centering on or off, and the selected or the largest
+fixed factor count, min(n, d) - 1.  A fit, a short backtest, or an
+adequacy test under either calibration must end in finite
+coefficients, predictions and statistics, or raise a ``FaqrError``; a
+raw numpy exception, a floating-point warning or a NaN fails the
+test.  Examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
@@ -18,14 +19,14 @@ from faqr.factor_model import DataMatrix
 from faqr.harness import (
     NoiseSpec, PipelineConfig, generate_dgp, rolling_backtest, sparse_signal_spec,
 )
-from faqr.harness.pipeline import PIPELINES
+from faqr.harness.pipeline import ADEQUACY_METHODS, PIPELINES, run_adequacy
 
 PATHOLOGIES = ("none", "constant", "near_constant", "duplicate")
 
 
 @st.composite
 def panels(draw):
-    """A panel, tau and a pipeline config."""
+    """A panel, tau and a pipeline config with a selected or the largest fixed factor count."""
     n = draw(st.integers(5, 30))
     shape = draw(st.sampled_from(("n<d", "n>d", "d=1")))
     d = {"n<d": n + draw(st.integers(1, 20)), "n>d": draw(st.integers(2, n - 1)), "d=1": 1}[shape]
@@ -42,7 +43,10 @@ def panels(draw):
     elif pathology == "duplicate" and d > 1:
         x[:, -1] = x[:, 0]
     tau = draw(st.floats(0.01, 0.99))
-    return DataMatrix(x=x, y=data.y), tau, PipelineConfig(center=draw(st.booleans()))
+    largest = min(n, d) - 1
+    num_factors = largest if largest >= 1 and draw(st.booleans()) else None
+    config = PipelineConfig(center=draw(st.booleans()), num_factors=num_factors)
+    return DataMatrix(x=x, y=data.y), tau, config
 
 
 @pytest.mark.filterwarnings("error")
@@ -66,3 +70,11 @@ def test_pipelines_end_in_finite_numbers_or_a_typed_error(case):
         else:
             assert np.isfinite(report.predictions).all()
             assert np.isfinite(report.mape)
+    for method in ADEQUACY_METHODS:
+        try:
+            result = run_adequacy(data, tau, config, method, b=100, seed=0)
+        except FaqrError:
+            pass
+        else:
+            assert np.isfinite(result.t_n)
+            assert np.isfinite(result.boot_stats).all()
