@@ -144,10 +144,15 @@ def _parse_args(argv):
     own = set(vars(args)) - {"command", "config"}
     values = {k: v for k, v in values.items() if k in own}
     sub = commands[args.command]
+    switches = {action.dest for action in sub._actions if action.nargs == 0}
     for key, value in values.items():
         # null stands for "no value" only where that is the option's own default
         if value is None and sub.get_default(key) is not None:
             raise InputError(f"config file {args.config}: {key!r} must not be null")
+        if isinstance(value, (list, dict)):
+            raise InputError(f"config file {args.config}: {key!r} must be a JSON scalar")
+        if key in switches and not isinstance(value, bool):
+            raise InputError(f"config file {args.config}: {key!r} must be true or false")
     sub.set_defaults(**values)
     return parser.parse_args(argv)
 
@@ -267,10 +272,7 @@ def main(argv=None):
     try:
         args = _parse_args(argv)
         _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"faqr: input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"faqr: input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

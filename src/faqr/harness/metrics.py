@@ -29,8 +29,7 @@ def evaluate_fit(fit, truth):
     if beta_hat.shape[0] != beta_star.shape[0]:
         raise DimensionError("fitted and true coefficient lengths differ")
     d = beta_star.shape[0]
-    s_hat = frozenset(int(j) for j in np.nonzero(beta_hat)[0])
-    s_star = frozenset(int(j) for j in np.nonzero(beta_star)[0])
+    s_hat, s_star = fit.support, truth.support
     tpr = len(s_hat & s_star) / len(s_star) if s_star else 1.0
     denom = d - len(s_star)
     fpr = len(s_hat - s_star) / denom if denom else 0.0

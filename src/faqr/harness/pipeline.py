@@ -1,14 +1,17 @@
 """End-to-end fitting pipelines shared by the CLI, simulations, and backtests.
 
-A pipeline run is the factor step, pivotal penalty tuning, and the
-penalized fit.  ``factor_step`` is the one place that turns a
+A pipeline run is the factor step, then pivotal penalty tuning and the
+penalized fit, which one private function does for every penalized
+model: the FAQR and plain-QR pipelines and the residual bootstrap's full
+fit.  ``factor_step`` is the one place that turns a
 ``PipelineConfig`` into a ``Design``: optional column centering, the
 factor count (fixed, or chosen by the eigenvalue ratio up to ``m_max``),
 the factor model (none for plain QR), and the kernel.  A design maps an
 observation x, centered as the fitted data were, to [x - B f, f] with
 f = (B^T B)^{-1} B^T x, or to x without factors; a prediction is that
 row times theta.  ``run_adequacy`` is the one entry to the adequacy test
-of the factor-only model: the factor step, then the chosen calibration.
+of the factor-only model: the factor step, the full fit when the
+residual bootstrap needs one, then the chosen calibration.
 """
 
 from dataclasses import dataclass, replace
@@ -20,6 +23,7 @@ from ..factor_model import (
 )
 from ..errors import DimensionError, InputError
 from ..inference import adequacy_test_multiplier, adequacy_test_residual
+from ..rng import derive_seed
 from ..smoothed_loss import KernelSpec, QuantileProblem, default_bandwidth
 from ..solver import FaqrFit, fit_penalized
 from ..tuning import LambdaRule, select_lambda
@@ -106,21 +110,22 @@ def factor_step(data, tau, config, factors=True):
     return Design(data, means, fm, KernelSpec(config.kernel_family, h))
 
 
-def _fit(data, tau, config, factors):
-    """Tuning and the penalized fit on z = [u_hat, f_hat], or on the columns."""
-    config = config or PipelineConfig()
-    if data.y is None:
+def _penalized_fit(design, tau, config):
+    """Tuning and the penalized fit on the design's z = [u_hat, f_hat], or on its columns."""
+    if design.data.y is None:
         raise InputError("pipeline fitting needs a response column")
-    design = factor_step(data, tau, config, factors)
     fm = design.factor_model
     z = design.data.x if fm is None else np.hstack([fm.u_hat, fm.f_hat])
     problem = QuantileProblem(z, design.data.y, tau, design.kernel,
                               n_factors=0 if fm is None else fm.m)
-    lam = select_lambda(problem, config.lambda_rule)
-    fit = fit_penalized(problem, lam)
-    if fm is not None:
-        fit = fit.with_varphi(fm.b_hat)
-    return PipelineResult(fit, design)
+    fit = fit_penalized(problem, select_lambda(problem, config.lambda_rule))
+    return fit if fm is None else fit.with_varphi(fm.b_hat)
+
+
+def _fit(data, tau, config, factors):
+    config = config or PipelineConfig()
+    design = factor_step(data, tau, config, factors)
+    return PipelineResult(_penalized_fit(design, tau, config), design)
 
 
 def fit_faqr(data, tau, config=None):
@@ -144,14 +149,16 @@ def pipeline_for(method):
 
 
 ADEQUACY_METHODS = ("multiplier", "residual")
+# Purpose tag under an adequacy test's seed: the seed of its full fit's penalty tuning.
+_LAMBDA = 1
 
 
 def run_adequacy(data, tau, config, method, b, seed):
     """Adequacy test of the factor-only model on the config's factor step.
 
     ``method`` picks the calibration: the multiplier bootstrap, or the
-    residual bootstrap, whose full fit uses the config's lambda rule
-    (its seed derived from ``seed``).
+    residual bootstrap, whose full fit is the FAQR fit of this design
+    with the config's lambda rule, its seed derived from ``seed``.
     """
     if method not in ADEQUACY_METHODS:
         raise InputError(f"unknown adequacy method {method!r}; choose from {ADEQUACY_METHODS}")
@@ -159,4 +166,5 @@ def run_adequacy(data, tau, config, method, b, seed):
     args = (design.data, design.factor_model, tau, design.kernel, b, seed)
     if method == "multiplier":
         return adequacy_test_multiplier(*args)
-    return adequacy_test_residual(*args, lambda_rule=config.lambda_rule)
+    full_fit = _penalized_fit(design, tau, config.with_seed(derive_seed(seed, _LAMBDA)))
+    return adequacy_test_residual(*args, full_fit)

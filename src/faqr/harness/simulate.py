@@ -57,6 +57,8 @@ def run_simulation(spec, reps, methods=("faqr", "qr_plain"), tau=0.5, config=Non
     if reps < 10:
         raise InputError("use at least 10 replicates")
     methods = tuple(methods)
+    if len(set(methods)) < len(methods):
+        raise InputError(f"methods {methods} name a pipeline more than once")
     pipelines = [pipeline_for(method) for method in methods]
     base = config or PipelineConfig()
     if base.num_factors is None:

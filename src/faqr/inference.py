@@ -19,24 +19,21 @@ and every score statistic come from the fit's own kernel pass.  Both
 calibrations share the observed side (input checks, the null fit and
 t_n) and the p-value, the share of replicates strictly above t_n.
 ``faqr.harness.pipeline.run_adequacy`` runs the factor step and picks
-the calibration from a pipeline config.
+the calibration from a pipeline config; for the residual bootstrap it
+also makes the full fit, so this module fits no penalized model.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionError, InputError, NumericalError, Singular
-from .rng import derive_seed, stream
-from .smoothed_loss import KernelSpec, QuantileProblem, kernel_cdf, kernel_pass
-from .solver import fit_penalized
-from .tuning import LambdaRule, select_lambda
+from .rng import stream
+from .smoothed_loss import QuantileProblem, kernel_cdf, kernel_pass
 
-# Purpose tags under a test's seed: the bootstrap replicates' one stream,
-# and the seed of the residual bootstrap's internal penalty tuning.
+# Purpose tag under a test's seed: the bootstrap replicates' one stream.
 _BOOTSTRAP = 0
-_LAMBDA = 1
 
 # Factor-only Newton fit: step budget, damped tries per step, gradient-norm stop,
 # norm accepted after the budget.
@@ -129,9 +126,8 @@ def fit_factor_only(f_hat, y, tau, kernel):
         hess = 0.5 * (hess + hess.transpose(0, 2, 1))
         return psi @ f_hat / n, hess, np.maximum(np.trace(hess, axis1=1, axis2=2) / m, 1e-12)
 
-    rows = np.arange(block.shape[0])  # the unfinished rows of the block
-    gamma_out, steps_out = np.empty((rows.size, m)), np.zeros(rows.size, dtype=int)
-    psi_out, weight_out = np.empty(block.shape), np.empty(block.shape)
+    # every per-row array is indexed by row of the block; rows holds the unfinished ones
+    rows = np.arange(block.shape[0])
     current = problem(rows)
     gamma = np.linalg.solve(gram, f_hat.T @ current.y.T).T
     val, psi, weight = kernel_pass(current.residuals(gamma), tau, kernel)
@@ -139,40 +135,37 @@ def fit_factor_only(f_hat, y, tau, kernel):
     mu = np.zeros(rows.size)
     steps, tries = np.zeros(rows.size, dtype=int), np.zeros(rows.size, dtype=int)
     while True:
-        gnorm = np.linalg.norm(g, axis=1)
-        spent = steps == _NEWTON_STEPS
+        gnorm = np.linalg.norm(g[rows], axis=1)
+        spent = steps[rows] == _NEWTON_STEPS
         if np.any(spent & (gnorm > _GTOL_BUDGET)):
             worst = gnorm[spent].max()
             raise NumericalError(f"factor-only fit stopped at gradient norm {worst:.2e}")
         done = spent | (gnorm <= _GTOL)
         if done.any():
-            finished = rows[done]
-            gamma_out[finished], steps_out[finished] = gamma[done], steps[done]
-            psi_out[finished], weight_out[finished] = psi[done], weight[done]
-            keep = ~done
-            rows, gamma, val, psi, weight, g, hess, scale, mu, steps, tries = (
-                a[keep] for a in (rows, gamma, val, psi, weight, g, hess, scale, mu, steps, tries)
-            )
+            rows = rows[~done]
             if not rows.size:
                 break
             current = problem(rows)
-        step, singular = _solve_rows(hess + (mu + 1e-14 * scale)[:, None, None] * np.eye(m), -g)
-        cand = gamma + step
+        mu_r, scale_r = mu[rows], scale[rows]
+        damping = (mu_r + 1e-14 * scale_r)[:, None, None] * np.eye(m)
+        step, singular = _solve_rows(hess[rows] + damping, -g[rows])
+        cand = gamma[rows] + step
         cand_val, cand_psi, cand_weight = kernel_pass(current.residuals(cand), tau, kernel)
-        moved = ~singular & (cand_val <= val + 1e-12)
-        mu = np.where(moved, np.where(mu > 1e-10 * scale, mu / 4.0, 0.0),
-                      np.maximum(mu * 4.0, 1e-6 * scale))
+        moved = ~singular & (cand_val <= val[rows] + 1e-12)
+        mu[rows] = np.where(moved, np.where(mu_r > 1e-10 * scale_r, mu_r / 4.0, 0.0),
+                            np.maximum(mu_r * 4.0, 1e-6 * scale_r))
         if moved.any():
-            gamma[moved], val[moved] = cand[moved], cand_val[moved]
-            psi[moved], weight[moved] = cand_psi[moved], cand_weight[moved]
-            g[moved], hess[moved], scale[moved] = derivatives(psi[moved], weight[moved])
-        steps += moved
-        tries = np.where(moved, 0, tries + 1)
-        if np.any(tries == _TRIES):
+            acc = rows[moved]
+            gamma[acc], val[acc] = cand[moved], cand_val[moved]
+            psi[acc], weight[acc] = cand_psi[moved], cand_weight[moved]
+            g[acc], hess[acc], scale[acc] = derivatives(psi[acc], weight[acc])
+        steps[rows] += moved
+        tries[rows] = np.where(moved, 0, tries[rows] + 1)
+        if np.any(tries[rows] == _TRIES):
             raise NumericalError("factor-only fit failed to make progress")
     if y.ndim == 2:
-        return gamma_out, steps_out, psi_out, weight_out
-    return gamma_out[0], int(steps_out[0]), psi_out[0], weight_out[0]
+        return gamma, steps, psi, weight
+    return gamma[0], int(steps[0]), psi[0], weight[0]
 
 
 def weighted_project(u_hat, f_hat, k_weights):
@@ -256,35 +249,28 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
     return _result("multiplier", t_n, boot, gamma0, seed, steps)
 
 
-def adequacy_test_residual(data, factor, tau, kernel, b, seed, lambda_rule=None):
+def adequacy_test_residual(data, factor, tau, kernel, b, seed, full_fit):
     """Residual bootstrap calibration of the score test.
 
-    Residuals come from the full penalized fit (factors plus
-    idiosyncratic parts, penalty level tuned internally) and are
-    centered so their empirical tau-quantile is zero, which makes the
-    null hold exactly in the bootstrap world.  Each replicate resamples
-    them, rebuilds a null-model response, refits the factor-only
-    coefficients, and scores the refit's psi against the raw
-    idiosyncratic columns.  ``lambda_rule`` sets the tuning's c0, alpha
-    and n_sim; its seed is always derived from ``seed`` under a purpose
-    tag of its own.  The replicates draw their resampling indices from
-    the one stream (seed, bootstrap tag), in replicate order, and are
-    otherwise independent: each refit starts from least squares.  They
-    are refitted and scored in blocks of ``_BLOCK`` rows, so a
-    replicate's statistic depends on its own resampled response up to
-    the round-off of its block's matrix products.
+    ``full_fit`` is the penalized fit of the full model (factors plus
+    idiosyncratic parts) on z = [u_hat, f_hat];
+    ``faqr.harness.pipeline.run_adequacy`` makes it with the pipeline's
+    one penalized fit.  Its residuals are centered so their empirical
+    tau-quantile is zero, which makes the null hold exactly in the
+    bootstrap world.  Each replicate resamples them, rebuilds a
+    null-model response, refits the factor-only coefficients, and scores
+    the refit's psi against the raw idiosyncratic columns.  The
+    replicates draw their resampling indices from the one stream (seed,
+    bootstrap tag), in replicate order, and are otherwise independent:
+    each refit starts from least squares.  They are refitted and scored
+    in blocks of ``_BLOCK`` rows, so a replicate's statistic depends on
+    its own resampled response up to the round-off of its block's matrix
+    products.
     """
-    # u is projected for t_n only; not holding it keeps it out of the full fit's peak memory
+    # u is projected for t_n only; not holding it keeps it out of the blocks' peak memory
     gamma0, steps, t_n = _observed(data, factor, tau, kernel, b)[:3]
-    y = data.y
-    n = y.shape[0]
-    z = np.hstack([factor.u_hat, factor.f_hat])
-    problem = QuantileProblem(z, y, tau, kernel, n_factors=factor.m)
-    rule = replace(lambda_rule or LambdaRule(), seed=derive_seed(seed, _LAMBDA))
-    lam = select_lambda(problem, rule)
-    full_fit = fit_penalized(problem, lam)
-    eps_full = y - z @ full_fit.theta_hat
-
+    n = data.y.shape[0]
+    eps_full = data.y - np.hstack([factor.u_hat, factor.f_hat]) @ full_fit.theta_hat
     pool = eps_full - np.quantile(eps_full, tau)
     fitted_null = factor.f_hat @ full_fit.gamma_hat
     boot = np.empty(b)

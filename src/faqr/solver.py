@@ -180,7 +180,8 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     """
     theta = np.array(theta0, dtype=float)
     f_cur, carry = loss.value(theta)
-    trace = [f_cur + float(lam_sigma @ np.abs(theta))]
+    pen_cur = float(lam_sigma @ np.abs(theta))
+    trace = [f_cur + pen_cur]
     converged = False
     outer = escalations = 0
     phi = cfg.phi0
@@ -194,7 +195,6 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
             phi = cfg.phi0 * 2.0 ** (math.ceil(4 * math.log2(max(1.0, q / cfg.phi0))) / 4)
         outer = outer_next
         g_prev = g
-        pen_cur = float(lam_sigma @ np.abs(theta))
         accepted = None
         for _ in range(cfg.max_inner):
             proposal = _shrink(theta - g / phi, lam_sigma / phi)

@@ -15,6 +15,7 @@ from faqr import (
     MissingValue,
     ParseError,
     WindowTooLarge,
+    adequacy_test_residual,
 )
 from faqr.factor_model import DataMatrix
 from faqr.harness import (
@@ -35,7 +36,7 @@ from faqr.harness.backtest import prediction_metrics
 from faqr.harness.dgp import DgpSpec, DgpTruth
 from faqr.harness.io import write_matrix_csv
 from faqr.harness.cli import main as cli_main
-from faqr.harness.pipeline import run_adequacy
+from faqr.harness.pipeline import factor_step, run_adequacy
 from faqr.rng import derive_seed
 
 
@@ -135,6 +136,9 @@ class TestRunSimulation:
             run_simulation(spec, reps=5)
         with pytest.raises(InputError):
             run_simulation(spec, reps=10, methods=("nope",))
+        # a repeated method would pool its records into one summary row
+        with pytest.raises(InputError, match="more than once"):
+            run_simulation(spec, reps=10, methods=("faqr", "faqr"))
 
 
 class TestRunPowerStudy:
@@ -161,6 +165,23 @@ class TestRunPowerStudy:
             pts = run_power_study(spec, [0.0], reps=1, b=100, method="residual", seed=1,
                                   level=level, config=config)
             assert pts[0].rejection_rate == rate
+
+    def test_residual_full_fit_is_the_faqr_pipeline_fit(self):
+        # run_adequacy hands the residual bootstrap the FAQR pipeline's fit of
+        # the same design, its lambda seed derived from the test's under tag 1
+        data, _ = generate_dgp(sparse_signal_spec(n=80, d=20, replicate_seed=5))
+        tau, b, seed = 0.3, 100, 4
+        config = PipelineConfig(num_factors=2, center=True,
+                                lambda_rule=replace(PipelineConfig().lambda_rule, c0=2.0))
+        design = factor_step(data, tau, config)
+        fit = fit_faqr(data, tau, config.with_seed(derive_seed(seed, 1))).fit
+        direct = adequacy_test_residual(design.data, design.factor_model, tau, design.kernel,
+                                        b, seed, full_fit=fit)
+        res = run_adequacy(data, tau, config, "residual", b, seed)
+        assert res.boot_stats.tobytes() == direct.boot_stats.tobytes()
+        assert res.gamma_null.tobytes() == direct.gamma_null.tobytes()
+        assert (res.t_n, res.p_value, res.newton_steps) == (
+            direct.t_n, direct.p_value, direct.newton_steps)
 
     def test_unknown_method_is_an_input_error(self):
         spec = sparse_signal_spec(n=60, d=15, replicate_seed=7)
@@ -501,13 +522,24 @@ class TestCli:
                          "--window", "55", "--config", str(cfg)]) == 2
         assert "unknown method 'jackknife'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["tau", "seed", "lambda_c0", "lambda_sims"])
-    def test_config_null_for_a_typed_option_exits_2(self, csv_path, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value, message", [
+        *(pytest.param(key, None, "must not be null", id=key)
+          for key in ("tau", "seed", "lambda_c0", "lambda_sims")),
+        # a list or object where a typed option takes one value, and a
+        # non-boolean for a switch, which argparse would take as true
+        *(pytest.param(key, value, "must be a JSON scalar", id=f"{key}-{type(value).__name__}")
+          for key, value in (("tau", [0.5]), ("seed", [1]), ("factors", [2]),
+                             ("m_max", {"m": 2}))),
+        *(pytest.param("center", value, "must be true or false", id=f"center-{value}")
+          for value in ("no", 1)),
+    ])
+    def test_config_null_for_a_typed_option_exits_2(self, csv_path, tmp_path, capsys, key,
+                                                     value, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: None}))
+        cfg.write_text(json.dumps({key: value}))
         assert cli_main(["fit", "--data", str(csv_path), "--response", "y",
                          "--config", str(cfg)]) == 2
-        assert f"{key!r} must not be null" in capsys.readouterr().err
+        assert f"{key!r} {message}" in capsys.readouterr().err
 
     def test_config_null_keeps_working_where_the_default_is_none(self, csv_path, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -18,14 +18,14 @@ from faqr import (
     adequacy_test_multiplier,
     adequacy_test_residual,
     fit_factor_only,
-    fit_penalized,
     kernel_density,
     kernel_pass,
     score_statistic,
     weighted_project,
 )
 from faqr.factor_model import DataMatrix, estimate_factors
-from faqr.harness import generate_dgp, sparse_signal_spec
+from faqr.harness import PipelineConfig, fit_faqr, generate_dgp, sparse_signal_spec
+from faqr.harness.pipeline import run_adequacy
 from faqr.rng import stream
 from faqr.smoothed_loss import default_bandwidth
 
@@ -38,6 +38,13 @@ def benchmark_pieces(n=200, d=200, seed=0, w=0.0, noise=None):
     fm = estimate_factors(data, 2)
     h = default_bandwidth(n, d, 2, 0.5)
     return data, fm, KernelSpec("gaussian", h)
+
+
+def full_fit(data, fm, k, tau=0.5):
+    """The pipeline's penalized fit on z = [u_hat, f_hat] of this factor model and kernel,
+    which the residual bootstrap resamples."""
+    config = PipelineConfig(kernel_family=k.family, bandwidth=k.h, num_factors=fm.m)
+    return fit_faqr(data, tau, config).fit
 
 
 def levenberg_block():
@@ -267,29 +274,26 @@ class TestAdequacyTests:
 
     def test_residual_determinism(self):
         data, fm, k = benchmark_pieces(n=80, d=25, seed=10)
-        r1 = adequacy_test_residual(data, fm, 0.5, k, 100, seed=22)
-        r2 = adequacy_test_residual(data, fm, 0.5, k, 100, seed=22)
+        fit = full_fit(data, fm, k)
+        r1 = adequacy_test_residual(data, fm, 0.5, k, 100, seed=22, full_fit=fit)
+        r2 = adequacy_test_residual(data, fm, 0.5, k, 100, seed=22, full_fit=fit)
         assert np.array_equal(r1.boot_stats, r2.boot_stats)
         assert r1.p_value == r2.p_value
         assert r1.method == "residual"
 
     def test_residual_replicates_are_independent(self, monkeypatch):
         data, fm, k = benchmark_pieces(n=80, d=25, seed=15)
-        fits, full = [], []
+        b, tau = 150, 0.5
+        fit = full_fit(data, fm, k, tau)
+        fits = []
 
         def recording_fit(*args, **kwargs):
             out = fit_factor_only(*args, **kwargs)
             fits.append((np.array(args[1]), *out[:2]))
             return out
 
-        def recording_penalized(*args, **kwargs):
-            full.append(fit_penalized(*args, **kwargs))
-            return full[-1]
-
         monkeypatch.setattr(faqr.inference, "fit_factor_only", recording_fit)
-        monkeypatch.setattr(faqr.inference, "fit_penalized", recording_penalized)
-        b, tau = 150, 0.5
-        res = adequacy_test_residual(data, fm, tau, k, b, seed=6)
+        res = adequacy_test_residual(data, fm, tau, k, b, seed=6, full_fit=fit)
         # the observed fit, then one call per block of replicates, in order
         assert len(fits) == 1 + math.ceil(b / faqr.inference._BLOCK)
         y_blocks = np.concatenate([y_b for y_b, _, _ in fits[1:]])
@@ -297,7 +301,6 @@ class TestAdequacyTests:
         steps = np.concatenate([s for _, _, s in fits[1:]])
         assert res.newton_steps == fits[0][2] + steps.sum()
         # the serial draws: one index row per replicate from the one bootstrap stream
-        (fit,) = full
         z = np.hstack([fm.u_hat, fm.f_hat])
         eps = data.y - z @ fit.theta_hat
         pool = eps - np.quantile(eps, tau)
@@ -333,33 +336,40 @@ class TestAdequacyTests:
         def forbidden(*args):
             raise AssertionError("a separate kernel evaluation on the residual test's path")
 
+        data, fm, k = benchmark_pieces(n=80, d=25, seed=10)
+        fit = full_fit(data, fm, k)
         monkeypatch.setattr(QuantileProblem, "residuals", counting_residuals)
         monkeypatch.setattr(faqr.inference, "kernel_pass", counting_pass)
         for module in (faqr.smoothed_loss, faqr.inference):
             monkeypatch.setattr(module, "kernel_cdf", forbidden)
         monkeypatch.setattr(faqr.smoothed_loss, "kernel_density", forbidden)
-        data, fm, k = benchmark_pieces(n=80, d=25, seed=10)
-        adequacy_test_residual(data, fm, 0.5, k, 100, seed=22)
+        adequacy_test_residual(data, fm, 0.5, k, 100, seed=22, full_fit=fit)
         assert calls["residuals"] == calls["passes"] > 0
 
     def test_residual_peak_memory_does_not_grow_with_b(self):
-        # replicates are refitted in fixed blocks: going from 100 to 1000 of
-        # them adds 7.2 kB of statistics, while one (b, n) array at b = 1000
-        # would add 1.6 MB; numpy reports its buffers to tracemalloc
+        # replicates are refitted in fixed blocks: going from two full blocks
+        # to 1000 replicates adds 7.0 kB of statistics, while one (b, n) array
+        # at b = 1000 would add 1.6 MB; numpy reports its buffers to
+        # tracemalloc.  Fewer than two full blocks would end on a partial
+        # block, whose smaller arrays lower the peak by design.
         data, fm, k = benchmark_pieces(n=200, d=40, seed=16)
+        fit = full_fit(data, fm, k)
         peaks = []
-        for b in (100, 1000):
+        for b in (2 * faqr.inference._BLOCK, 1000):
             tracemalloc.start()
             try:
-                adequacy_test_residual(data, fm, 0.5, k, b, seed=2)
+                adequacy_test_residual(data, fm, 0.5, k, b, seed=2, full_fit=fit)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
 
-    @pytest.mark.parametrize("test", [adequacy_test_multiplier, adequacy_test_residual])
-    def test_stream_count_does_not_grow_with_b(self, monkeypatch, test):
-        data, fm, k = benchmark_pieces(n=60, d=15, seed=14)
+    # ids name the test each method runs
+    @pytest.mark.parametrize("method", ["multiplier", "residual"],
+                             ids=lambda method: f"adequacy_test_{method}")
+    def test_stream_count_does_not_grow_with_b(self, monkeypatch, method):
+        # run through the pipeline, so the residual full fit's tuning stream counts too
+        data = benchmark_pieces(n=60, d=15, seed=14)[0]
         calls = []
         stream = faqr.inference.stream
 
@@ -372,7 +382,7 @@ class TestAdequacyTests:
         counts = []
         for b in (100, 400):
             calls.clear()
-            test(data, fm, 0.5, k, b, seed=5)
+            run_adequacy(data, 0.5, PipelineConfig(num_factors=2), method, b, seed=5)
             counts.append(len(calls))
         assert counts[0] == counts[1] >= 1
 
