@@ -45,19 +45,12 @@ from .smoothed_loss import (
     check_loss,
     default_bandwidth,
     kernel_cdf,
-    kernel_density,
     kernel_pass,
-    loss_gradient,
-    loss_hessian,
-    loss_value,
-    smoothed_check,
 )
 from .solver import (
     FaqrFit,
     SolverConfig,
     fit_penalized,
-    kkt_residual,
-    soft_threshold,
     warm_start_expectile,
 )
 from .tuning import LambdaRule, select_lambda, simulate_pivotal
@@ -92,18 +85,11 @@ __all__ = [
     "fit_factor_only",
     "fit_penalized",
     "kernel_cdf",
-    "kernel_density",
     "kernel_pass",
-    "kkt_residual",
-    "loss_gradient",
-    "loss_hessian",
-    "loss_value",
     "score_statistic",
     "select_lambda",
     "select_num_factors",
     "simulate_pivotal",
-    "smoothed_check",
-    "soft_threshold",
     "warm_start_expectile",
     "weighted_project",
 ]

@@ -57,7 +57,7 @@ class NonFinite(NumericalError):
 
 
 class InnerLoopStall(NumericalError):
-    """Curvature escalation never produced a majorizing surrogate."""
+    """Curvature escalation never produced a sufficient decrease of the objective."""
 
 
 class Singular(NumericalError):

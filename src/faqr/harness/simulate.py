@@ -129,6 +129,8 @@ def run_power_study(
     w_grid = [float(w) for w in w_grid]
     if 0.0 not in w_grid:
         raise InputError("the w grid must include 0 (the null)")
+    if reps < 1:
+        raise InputError(f"reps must be at least 1, got {reps}")
     config = config or PipelineConfig()
     if config.num_factors is None:
         config = replace(config, num_factors=base_spec.m)

@@ -9,11 +9,10 @@ V ~ K, the smoothed loss of a residual r has the closed form
     l(r) = (tau - 1/2) r + (h/2) A(r/h),
 
 which this module implements per kernel family together with the kernel
-density K, its antiderivative Kbar, the gradient and Hessian of the
-sample objective, and the default bandwidth rule.  Each family's Kbar and
-K are written once, in one function that gives Kbar(-u) and K(u) from
-shared transcendentals; ``kernel_cdf``, ``kernel_density`` and the kernel
-pass all read it.  One kernel pass over a residual array of any leading
+density K, its antiderivative Kbar and the default bandwidth rule.  Each
+family's Kbar and K are written once, in one function that gives Kbar(-u)
+and K(u) from shared transcendentals; ``kernel_cdf`` and the kernel pass
+both read it.  One kernel pass over a residual array of any leading
 shape gives the objective, the gradient weight psi = Kbar(-r/h) - tau
 and the Hessian weight K(r/h)/h together, so a caller forms each
 residual block once and pays for its transcendental functions once.
@@ -72,12 +71,6 @@ def _cdf_density(family, u):
     return 0.5 + 0.75 * v - 0.25 * v**3, np.where(inside, 0.75 * (1.0 - v * v), 0.0)
 
 
-def kernel_density(kernel, t):
-    """Unscaled kernel density K(t).  K_h(t) is K(t/h)/h by composition."""
-    out = _cdf_density(kernel.family, np.asarray(t, dtype=float))[1]
-    return out if out.ndim else float(out)
-
-
 def kernel_cdf(kernel, t):
     """Kernel antiderivative Kbar(t), the integral of K over (-inf, t]."""
     out = _cdf_density(kernel.family, -np.asarray(t, dtype=float))[0]
@@ -116,12 +109,6 @@ def _terms(r, tau, kernel):
                   else 0.375 + 0.75 * uc * uc - 0.125 * uc**4)
         abs_mean = np.where(a <= 1.0, inside, a)
     return (tau - 0.5) * r + 0.5 * h * abs_mean, cdf - tau, dens / h
-
-
-def smoothed_check(r, tau, kernel):
-    """Smoothed check loss of residuals r, elementwise."""
-    out = _terms(np.asarray(r, dtype=float), tau, kernel)[0]
-    return out if out.ndim else float(out)
 
 
 class LossPass(NamedTuple):
@@ -234,20 +221,3 @@ class QuantileProblem:
             raise NonFinite("residuals overflowed; theta is too large or not finite")
         return r
 
-
-def loss_value(problem, theta):
-    """Sample smoothed quantile objective (1/n) sum_i l(r_i(theta))."""
-    return kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).value
-
-
-def loss_gradient(problem, theta):
-    """Gradient (1/n) sum_i [Kbar_h(-r_i) - tau] z_i of the objective."""
-    psi = kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).psi
-    return problem.z_hat.T @ psi / problem.n
-
-
-def loss_hessian(problem, theta):
-    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective."""
-    w = kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).weight / problem.n
-    hess = (problem.z_hat * w[:, None]).T @ problem.z_hat
-    return 0.5 * (hess + hess.T)

@@ -1,19 +1,21 @@
 """Penalized smoothed quantile regression via majorize-minimization.
 
-The objective Qh(theta) + lambda ||sigma * theta||_1 is minimized by
-repeatedly building an isotropic quadratic surrogate at the current
-iterate and solving it exactly with soft-thresholding.  The surrogate
-curvature phi is inflated by a constant factor until the surrogate
-majorizes the smooth loss at the proposal, which makes the penalized
-objective monotonically non-increasing without ever touching the
-Hessian.  The first outer iteration starts that search at phi0, and each
-later one at the Barzilai-Borwein quotient s'y / s's of the last step,
-floored at phi0 and rounded up to the grid phi0 * 2^(j/4) so that
-round-off in the quotient cannot steer the iterate path.  One kernel
-pass over a proposal's residuals gives its loss and its gradient weights
-psi, and the accepted proposal's psi gives the next gradient and, for
-the last iterate, the reported KKT residual, so each iterate's residuals
-are formed and passed through the kernel once.  The starting point is a
+The objective F(theta) = Qh(theta) + lambda ||sigma_hat * theta||_1 is
+minimized by repeatedly building an isotropic quadratic surrogate at the
+current iterate and solving it exactly with soft-thresholding.  A
+proposal theta+ is accepted when it decreases the objective
+sufficiently, F(theta+) <= F(theta) - (sigma/2) phi ||theta+ - theta||^2
+with sigma = 1e-4 (the monotone rule of SpaRSA), and its curvature phi
+is doubled otherwise; every accepted step therefore lowers the computed
+objective, without ever touching the Hessian.  The first outer
+iteration starts that search at phi0, and each later one at the
+Barzilai-Borwein quotient s'y / s's of the last step, floored at phi0
+and rounded up to the grid phi0 * 2^(j/4) so that round-off in the
+quotient cannot steer the iterate path.  One kernel pass over a
+proposal's residuals gives its loss and its gradient weights psi, and
+the accepted proposal's psi gives the next gradient and, for the last
+iterate, the reported KKT residual, so each iterate's residuals are
+formed and passed through the kernel once.  The starting point is a
 Huberized expectile fit obtained with the same machinery.
 """
 
@@ -23,12 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, InnerLoopStall
-from .smoothed_loss import kernel_pass, loss_gradient
+from .smoothed_loss import kernel_pass
 
 
 # Factor by which the inner loop inflates a rejected surrogate curvature;
 # it keeps the curvature on the quarter-power-of-two grid it starts on.
 _ESCALATION = 2.0
+
+# Sufficient-decrease constant of the acceptance test.
+_SIGMA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -39,14 +44,14 @@ class SolverConfig:
     iteration starts its search there, and each later one at the
     Barzilai-Borwein quotient rounded up to the grid phi0 * 2^(j/4),
     which keeps round-off from steering the iterates; the search doubles
-    the curvature until the surrogate majorizes.  tol is the l2 stopping
-    threshold on successive iterates, and max_outer and max_inner the
-    outer iteration and per-iteration curvature escalation budgets.
+    the curvature until the proposal decreases the objective
+    sufficiently.  tol is the l2 stopping threshold on successive
+    iterates, and max_outer and max_inner the outer iteration and
+    per-iteration curvature escalation budgets.
 
-    kkt_tol is a secondary stopping rule on the subgradient optimality
-    residual.  Near the optimum the proximal map can orbit at step sizes
-    just above tol while the iterate is already optimal to well beyond
-    working accuracy; the KKT test terminates those orbits.
+    kkt_tol is an early stop on the subgradient optimality residual: an
+    iterate that already satisfies the optimality conditions to kkt_tol
+    ends the fit before its steps fall below tol.
     """
 
     phi0: float = 0.1
@@ -110,18 +115,6 @@ class FaqrFit:
         return replace(self, varphi_hat=varphi)
 
 
-def soft_threshold(v, t):
-    """Componentwise soft-thresholding: sign(v) max(|v| - t, 0)."""
-    v = np.asarray(v, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if t.ndim and t.shape != v.shape:
-        raise DimensionError("threshold vector must match v in length")
-    if np.any(t < 0):
-        raise DimensionError("thresholds must be non-negative")
-    out = _shrink(v, t)
-    return out if out.ndim else float(out)
-
-
 def _shrink(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -179,9 +172,9 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     gradient.
     """
     theta = np.array(theta0, dtype=float)
-    f_cur, carry = loss.value(theta)
-    pen_cur = float(lam_sigma @ np.abs(theta))
-    trace = [f_cur + pen_cur]
+    f0, carry = loss.value(theta)
+    obj = f0 + float(lam_sigma @ np.abs(theta))
+    trace = [obj]
     converged = False
     outer = escalations = 0
     phi = cfg.phi0
@@ -200,33 +193,23 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
             proposal = _shrink(theta - g / phi, lam_sigma / phi)
             f_new, carry_new = loss.value(proposal)
             delta = proposal - theta
-            surrogate = f_cur + g @ delta + 0.5 * phi * (delta @ delta)
-            pen_new = float(lam_sigma @ np.abs(proposal))
-            # strict surrogate test; the explicit descent guard keeps
-            # round-off from accepting a curvature that underestimates the
-            # loss, which would let the iterate orbit the optimum
-            if surrogate >= f_new and f_new + pen_new <= f_cur + pen_cur:
-                accepted = (proposal, f_new, carry_new, pen_new, delta)
+            obj_new = f_new + float(lam_sigma @ np.abs(proposal))
+            if obj_new <= obj - 0.5 * _SIGMA * phi * (delta @ delta):
+                accepted = (proposal, obj_new, carry_new, delta)
                 break
             phi *= _ESCALATION
             escalations += 1
         if accepted is None:
             raise InnerLoopStall(
-                f"no majorizing curvature found after {cfg.max_inner} escalations; "
-                "the loss is numerically broken"
+                f"no sufficient decrease found after {cfg.max_inner} curvature "
+                "escalations; the loss is numerically broken"
             )
-        theta, f_cur, carry, pen_cur, delta = accepted
-        trace.append(f_cur + pen_cur)
+        theta, obj, carry, delta = accepted
+        trace.append(obj)
         if np.linalg.norm(delta) < cfg.tol:
             converged = True
             break
     return theta, outer, converged, tuple(trace), escalations, carry
-
-
-def kkt_residual(problem, theta, lam):
-    """Max violation of the subgradient optimality conditions at theta."""
-    theta = np.asarray(theta, dtype=float)
-    return _kkt_from_gradient(loss_gradient(problem, theta), theta, lam * problem.sigma_hat)
 
 
 def _mad(x):
@@ -260,7 +243,7 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
     ----------
     problem : QuantileProblem
     lam : float
-        Penalty level on the (1/n)-scaled objective; lam >= 0.
+        Penalty level on the (1/n)-scaled objective; 0 <= lam < inf.
     cfg : SolverConfig, optional
     warm : array, optional
         Starting point; defaults to the Huberized expectile warm start.
@@ -272,8 +255,8 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
         iteration budget runs out before the step-size test passes.
     """
     cfg = cfg or SolverConfig()
-    if lam < 0:
-        raise DimensionError("lam must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise DimensionError(f"lam must be finite and non-negative, got {lam}")
     if warm is None:
         warm = warm_start_expectile(problem, lam, cfg)
     loss = _QuantileLoss(problem)

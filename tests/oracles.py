@@ -1,26 +1,75 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations and test-only readers used as test oracles.
 
-Everything here deliberately avoids the code paths it checks: the
-eigensolver is a hand-rolled Jacobi sweep rather than LAPACK, gradients
-come from central differences, the solver reference is plain proximal
-gradient with a tiny fixed step, and the quadratic-loss reference is
-coordinate descent.  The quadrature loss integrates the kernel density
-numerically instead of using the closed forms, and the one-step LAMM
-helpers spell out, one call per piece, what the solver's loop does
-inline.
+Everything after the readers deliberately avoids the code paths it
+checks: the eigensolver is a hand-rolled Jacobi sweep rather than
+LAPACK, gradients come from central differences, the solver reference is
+plain proximal gradient with a tiny fixed step, and the quadratic-loss
+reference is coordinate descent.  The quadrature loss integrates the
+kernel density numerically instead of using the closed forms, and the
+one-step LAMM helpers spell out, one call per piece, what the solver's
+loop does inline.
+
+The readers at the top are not independent: the loss value, gradient
+and Hessian, the elementwise smoothed check loss, the kernel density,
+the KKT residual and soft-thresholding are views of faqr's own code (the
+kernel pass and the two helpers behind it, the solver's KKT helper and
+its shrink), so that the tests check that code through them.  No runtime path needs them.
 """
 
 import numpy as np
 from scipy import integrate
 
-from faqr import (
-    DimensionError,
-    check_loss,
-    kernel_density,
-    loss_gradient,
-    loss_value,
-    soft_threshold,
-)
+from faqr import DimensionError, check_loss, kernel_pass
+from faqr.smoothed_loss import _cdf_density, _terms
+from faqr.solver import _kkt_from_gradient, _shrink
+
+
+def loss_value(problem, theta):
+    """Sample smoothed quantile objective (1/n) sum_i l(r_i(theta))."""
+    return kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).value
+
+
+def loss_gradient(problem, theta):
+    """Gradient (1/n) sum_i [Kbar_h(-r_i) - tau] z_i of the objective."""
+    psi = kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).psi
+    return problem.z_hat.T @ psi / problem.n
+
+
+def loss_hessian(problem, theta):
+    """Hessian (1/n) sum_i K_h(-r_i) z_i z_i^T of the objective."""
+    w = kernel_pass(problem.residuals(theta), problem.tau, problem.kernel).weight / problem.n
+    hess = (problem.z_hat * w[:, None]).T @ problem.z_hat
+    return 0.5 * (hess + hess.T)
+
+
+def smoothed_check(r, tau, kernel):
+    """Smoothed check loss of residuals r, elementwise."""
+    out = _terms(np.asarray(r, dtype=float), tau, kernel)[0]
+    return out if out.ndim else float(out)
+
+
+def kernel_density(kernel, t):
+    """Unscaled kernel density K(t).  K_h(t) is K(t/h)/h by composition."""
+    out = _cdf_density(kernel.family, np.asarray(t, dtype=float))[1]
+    return out if out.ndim else float(out)
+
+
+def kkt_residual(problem, theta, lam):
+    """Max violation of the subgradient optimality conditions at theta."""
+    theta = np.asarray(theta, dtype=float)
+    return _kkt_from_gradient(loss_gradient(problem, theta), theta, lam * problem.sigma_hat)
+
+
+def soft_threshold(v, t):
+    """Componentwise soft-thresholding: sign(v) max(|v| - t, 0)."""
+    v = np.asarray(v, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if t.ndim and t.shape != v.shape:
+        raise DimensionError("threshold vector must match v in length")
+    if np.any(t < 0):
+        raise DimensionError("thresholds must be non-negative")
+    out = _shrink(v, t)
+    return out if out.ndim else float(out)
 
 
 def jacobi_eigh(a, max_sweeps=100, tol=1e-13):

@@ -2,12 +2,9 @@
 
 One test per criterion; each prints a PASS/FAIL line (run with -s to see
 them live).  The heavy Monte Carlo studies are shared session fixtures.
-Set FAQR_ACCEPTANCE_FULL=1 to run the full-size test-size study
-(500 runs, tight band) instead of the reduced smoke variant.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -18,10 +15,6 @@ from faqr import (
     SolverConfig,
     fit_penalized,
     kernel_cdf,
-    kkt_residual,
-    loss_gradient,
-    loss_hessian,
-    loss_value,
     simulate_pivotal,
 )
 from faqr.factor_model import estimate_factors
@@ -36,7 +29,7 @@ from faqr.harness import (
 )
 from faqr.harness.cli import main as cli_main
 from faqr.harness.io import write_matrix_csv
-from faqr.smoothed_loss import check_loss, default_bandwidth, smoothed_check
+from faqr.smoothed_loss import check_loss, default_bandwidth
 from faqr.tuning import LambdaRule, select_lambda
 
 from oracles import (
@@ -44,11 +37,15 @@ from oracles import (
     fd_gradient,
     fd_jacobian,
     jacobi_eigh,
+    kernel_density,
+    loss_gradient,
+    loss_hessian,
+    loss_value,
     prox_grad_reference,
+    smoothed_check,
 )
 
 REPS = 100
-FULL_SIZE_STUDY = os.environ.get("FAQR_ACCEPTANCE_FULL", "") == "1"
 
 
 def report(name, ok, detail):
@@ -123,7 +120,7 @@ def test_criterion_3_error_trend(sim_grid_d200):
 
 
 def test_criterion_4_test_size():
-    runs, lo, hi = (500, 0.02, 0.09) if FULL_SIZE_STUDY else (200, 0.01, 0.12)
+    runs, lo, hi = 500, 0.02, 0.09
     cases = [
         ("residual", NoiseSpec.gaussian(0.5), "gaussian"),
         ("residual", NoiseSpec.student_t(2), "t2"),
@@ -226,7 +223,6 @@ def test_criterion_7_numerical_properties():
 
         # weighted-projection orthogonality on the same data
         from faqr.inference import fit_factor_only, weighted_project
-        from faqr.smoothed_loss import kernel_density
 
         k = pp.kernel
         gamma0 = fit_factor_only(fm.f_hat, data.y, 0.5, k)[0]

@@ -153,6 +153,11 @@ class TestRunPowerStudy:
         with pytest.raises(InputError):
             run_power_study(spec, [0.1, 0.2], reps=1, b=100)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_must_be_positive(self, reps):
+        with pytest.raises(InputError):
+            run_power_study(sparse_signal_spec(n=60, d=15), [0.0], reps=reps, b=100)
+
     def test_config_reaches_the_replicates(self):
         spec = sparse_signal_spec(n=60, d=15, replicate_seed=7)
         config = PipelineConfig(kernel_family="logistic")

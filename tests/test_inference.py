@@ -18,7 +18,6 @@ from faqr import (
     adequacy_test_multiplier,
     adequacy_test_residual,
     fit_factor_only,
-    kernel_density,
     kernel_pass,
     score_statistic,
     weighted_project,
@@ -29,7 +28,7 @@ from faqr.harness.pipeline import run_adequacy
 from faqr.rng import stream
 from faqr.smoothed_loss import default_bandwidth
 
-from oracles import golden_section
+from oracles import golden_section, kernel_density, loss_value
 
 
 def benchmark_pieces(n=200, d=200, seed=0, w=0.0, noise=None):
@@ -64,8 +63,6 @@ class TestFitFactorOnly:
         y = rng.standard_normal(80) + 1.2
         k = KernelSpec("gaussian", 0.35)
         gamma = fit_factor_only(np.ones((80, 1)), y, 0.3, k)[0]
-        from faqr import loss_value
-
         p = QuantileProblem(np.ones((80, 1)), y, 0.3, k, sigma_hat=np.ones(1))
         ref = golden_section(lambda t: loss_value(p, np.array([t])), y.min(), y.max())
         assert abs(gamma[0] - ref) <= 1e-6
@@ -319,8 +316,9 @@ class TestAdequacyTests:
     def test_residual_test_passes_each_residual_array_through_the_kernel_once(
             self, monkeypatch):
         # the projection weights, t_n and every replicate statistic come from
-        # the factor-only fits' own kernel passes: no separate cdf or density
-        # evaluation, and one pass per residual array that inference forms
+        # the factor-only fits' own kernel passes: no separate cdf evaluation
+        # (the package has no density outside the kernel pass), and one pass
+        # per residual array that inference forms
         calls = {"residuals": 0, "passes": 0}
         residuals, kernel_pass = QuantileProblem.residuals, faqr.inference.kernel_pass
 
@@ -342,7 +340,6 @@ class TestAdequacyTests:
         monkeypatch.setattr(faqr.inference, "kernel_pass", counting_pass)
         for module in (faqr.smoothed_loss, faqr.inference):
             monkeypatch.setattr(module, "kernel_cdf", forbidden)
-        monkeypatch.setattr(faqr.smoothed_loss, "kernel_density", forbidden)
         adequacy_test_residual(data, fm, 0.5, k, 100, seed=22, full_fit=fit)
         assert calls["residuals"] == calls["passes"] > 0
 

@@ -13,16 +13,20 @@ from faqr import (
     check_loss,
     default_bandwidth,
     kernel_cdf,
-    kernel_density,
     kernel_pass,
+)
+from faqr.smoothed_loss import KERNEL_FAMILIES
+
+from oracles import (
+    fd_gradient,
+    fd_jacobian,
+    kernel_density,
     loss_gradient,
     loss_hessian,
     loss_value,
     smoothed_check,
+    smoothed_check_by_quadrature,
 )
-from faqr.smoothed_loss import KERNEL_FAMILIES
-
-from oracles import fd_gradient, fd_jacobian, smoothed_check_by_quadrature
 
 FAMILIES = list(KERNEL_FAMILIES)
 

@@ -9,24 +9,24 @@ from faqr import (
     SolverConfig,
     fit_penalized,
     kernel_cdf,
-    kkt_residual,
-    loss_gradient,
-    loss_hessian,
-    loss_value,
-    soft_threshold,
     warm_start_expectile,
 )
 from faqr.harness import NoiseSpec, generate_dgp, sparse_signal_spec
 from faqr.factor_model import estimate_factors
 from faqr.smoothed_loss import default_bandwidth
+from faqr.solver import _SIGMA, _QuantileLoss, _lamm_minimize
 from faqr.tuning import LambdaRule, select_lambda
 
 from oracles import (
     golden_section,
+    kkt_residual,
     lamm_iterate,
     lasso_cd_quarter,
+    loss_gradient,
+    loss_value,
     majorization_holds,
     prox_grad_reference,
+    soft_threshold,
 )
 
 TIGHT = SolverConfig(tol=1e-12, kkt_tol=1e-8, max_outer=20000)
@@ -53,6 +53,11 @@ def make_problem(n=40, dim=5, tau=0.5, h=0.5, seed=0, family="gaussian"):
     theta_true[:2] = (1.0, -0.5)
     y = z @ theta_true + rng.standard_normal(n)
     return QuantileProblem(z, y, tau, KernelSpec(family, h), n_factors=1)
+
+
+# (seed, tau, kernel family) of the descent and sufficient-decrease problems
+_INSTANCES = [(1, 0.5, "gaussian"), (2, 0.25, "logistic"),
+              (3, 0.7, "laplacian"), (4, 0.5, "gaussian")]
 
 
 class TestSoftThreshold:
@@ -173,6 +178,11 @@ class TestFitPenalized:
         )
         assert np.abs(fit.theta_hat - ref).max() <= 1e-4
 
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_lambda(self, lam):
+        with pytest.raises(DimensionError):
+            fit_penalized(make_problem(seed=7), lam)
+
     def test_max_iters_flag(self):
         p = make_problem(seed=10)
         cfg = SolverConfig(max_outer=1, tol=1e-16, kkt_tol=1e-18)
@@ -187,10 +197,10 @@ class TestFitPenalized:
             fit_penalized(p, 0.01, cfg, warm=np.full(p.dim, 3.0))
 
     def test_escalations_count_the_rejected_proposals(self, residual_calls):
-        # phi0 far below the loss curvature: the first search must double its
-        # way up about 40 times.  Every proposal, accepted or rejected, forms
-        # one residual vector, and the start point one more, so the counts
-        # add up exactly; the reported KKT residual reuses the last one.
+        # phi0 far below the loss curvature: the searches must double their
+        # way up, 38 times in all.  Every proposal, accepted or rejected,
+        # forms one residual vector, and the start point one more, so the
+        # counts add up exactly; the reported KKT residual reuses the last one.
         p = make_problem(seed=11)
         cfg = SolverConfig(phi0=1e-12, tol=1e-8, kkt_tol=1e-6)
         fit = fit_penalized(p, 0.01, cfg, warm=np.full(p.dim, 3.0))
@@ -199,8 +209,7 @@ class TestFitPenalized:
         assert len(residual_calls) == fit.n_outer_iters + fit.n_escalations + 1
 
     def test_descent_and_kkt_across_instances(self):
-        for seed, tau, family in [(1, 0.5, "gaussian"), (2, 0.25, "logistic"),
-                                  (3, 0.7, "laplacian"), (4, 0.5, "gaussian")]:
+        for seed, tau, family in _INSTANCES:
             p = make_problem(n=80, dim=6, tau=tau, seed=seed, family=family)
             fit = fit_penalized(p, 0.05)
             trace = np.array(fit.objective_trace)
@@ -242,6 +251,51 @@ class TestFitPenalized:
         fit2 = fit_penalized(p2, lam, TIGHT)
         assert np.abs(z @ fit1.theta_hat - z2 @ fit2.theta_hat).max() <= 1e-6
         assert abs(fit2.theta_hat[2] * c - fit1.theta_hat[2]) <= 1e-6
+
+
+class _SeenIterates:
+    """The quantile loss, carrying theta with psi so that gradient sees each accepted iterate."""
+
+    def __init__(self, problem):
+        self.loss = _QuantileLoss(problem)
+        self.seen = []
+
+    def value(self, theta):
+        f, psi = self.loss.value(theta)
+        return f, (theta, psi)
+
+    def gradient(self, carry):
+        theta, psi = carry
+        self.seen.append(theta)
+        return self.loss.gradient(psi)
+
+
+def _descent_cases():
+    for seed, tau, family in _INSTANCES:
+        p = make_problem(n=80, dim=6, tau=tau, seed=seed, family=family)
+        yield p, 0.05, SolverConfig(), warm_start_expectile(p, 0.05)
+    p = make_problem(seed=11)  # the far start of the escalation count test
+    yield p, 0.01, SolverConfig(phi0=1e-12, tol=1e-8, kkt_tol=1e-6), np.full(p.dim, 3.0)
+
+
+class TestSufficientDecrease:
+    def test_every_accepted_step_decreases_the_objective_sufficiently(self):
+        # each accepted step satisfies F(theta_k+1) <= F(theta_k) - (sigma/2)
+        # phi ||theta_k+1 - theta_k||^2 at its curvature phi >= phi0, and the
+        # trace holds F at each accepted iterate
+        for p, lam, cfg, theta0 in _descent_cases():
+            loss = _SeenIterates(p)
+            lam_sigma = lam * p.sigma_hat
+            theta, outer, converged, trace, _, _ = _lamm_minimize(loss, theta0, lam_sigma, cfg)
+            thetas = loss.seen if loss.seen[-1] is theta else loss.seen + [theta]
+            assert converged
+            assert outer > 0
+            assert len(thetas) == len(trace) == outer + 1
+            for t, f in zip(thetas, trace):
+                assert loss_value(p, t) + float(lam_sigma @ np.abs(t)) == f
+            for k in range(outer):
+                step = thetas[k + 1] - thetas[k]
+                assert trace[k] - trace[k + 1] >= 0.5 * _SIGMA * cfg.phi0 * (step @ step)
 
 
 class TestWarmStart:
@@ -324,7 +378,7 @@ class TestCarriedCurvature:
     def test_residual_evaluations_fall_by_a_quarter(self, residual_calls):
         # the 12 default fits above formed 5,044 residual vectors at commit
         # 9a93892, which started each search at max(phi0, last curvature / 2);
-        # the bound is three quarters of that
+        # the bound is three quarters of that.  They now form 1,777.
         problems = []
         for tau, design, noise in _CURVATURE_CASES:
             z, y, kernel, m = _curvature_case(tau, design, noise)
