@@ -49,7 +49,6 @@ from .smoothed_loss import (
 )
 from .solver import (
     FaqrFit,
-    SolverConfig,
     fit_penalized,
     warm_start_expectile,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "QuantileProblem",
     "RankDeficient",
     "Singular",
-    "SolverConfig",
     "WindowTooLarge",
     "adequacy_test_multiplier",
     "adequacy_test_residual",

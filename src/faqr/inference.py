@@ -232,9 +232,11 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
     """Gaussian multiplier bootstrap calibration of the score test.
 
     Each replicate reweights simulated score contributions with
-    Rademacher signs; the simulated errors are normal with tau-quantile
-    zero.  All replicates draw from the one stream (seed, bootstrap
-    tag), replicate i after replicate i - 1.
+    Rademacher signs.  The simulated errors e are normal with tau-quantile
+    zero and score psi = (1 - tau) - Kbar(e / h), which is Kbar(-e / h) -
+    tau (every kernel is symmetric), the observed psi of residuals e.
+    All replicates draw from the one stream (seed, bootstrap tag),
+    replicate i after replicate i - 1.
     """
     gamma0, steps, t_n, u_star = _observed(data, factor, tau, kernel, b)
     n = data.y.shape[0]
@@ -244,7 +246,7 @@ def adequacy_test_multiplier(data, factor, tau, kernel, b, seed):
     for i in range(b):
         w = 2.0 * gen.integers(0, 2, n) - 1.0
         e = gen.normal(shift, 1.0, n)
-        psi = tau - kernel_cdf(kernel, e / kernel.h)
+        psi = (1.0 - tau) - kernel_cdf(kernel, e / kernel.h)
         boot[i] = score_statistic(w * psi, u_star)[1]
     return _result("multiplier", t_n, boot, gamma0, seed, steps)
 

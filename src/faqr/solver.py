@@ -8,10 +8,11 @@ sufficiently, F(theta+) <= F(theta) - (sigma/2) phi ||theta+ - theta||^2
 with sigma = 1e-4 (the monotone rule of SpaRSA), and its curvature phi
 is doubled otherwise; every accepted step therefore lowers the computed
 objective, without ever touching the Hessian.  The first outer
-iteration starts that search at phi0, and each later one at the
+iteration starts that search at phi0 = _PHI0, and each later one at the
 Barzilai-Borwein quotient s'y / s's of the last step, floored at phi0
 and rounded up to the grid phi0 * 2^(j/4) so that round-off in the
-quotient cannot steer the iterate path.  One kernel pass over a
+quotient cannot steer the iterate path.  The tolerances and budgets of
+the loop are module constants, not arguments.  One kernel pass over a
 proposal's residuals gives its loss and its gradient weights psi, and
 the accepted proposal's psi gives the next gradient and, for the last
 iterate, the reported KKT residual, so each iterate's residuals are
@@ -35,36 +36,18 @@ _ESCALATION = 2.0
 # Sufficient-decrease constant of the acceptance test.
 _SIGMA = 1e-4
 
+# First and smallest surrogate curvature phi0: the first search starts there,
+# and the Barzilai-Borwein starts are rounded up to the grid phi0 * 2^(j/4).
+_PHI0 = 0.1
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the majorize-minimize loop.
+# Stops: an l2 step between iterates shorter than _TOL, or, earlier, an
+# iterate whose subgradient optimality residual is within _KKT_TOL.
+_TOL = 1e-6
+_KKT_TOL = 1e-6
 
-    phi0 is the first and smallest surrogate curvature: the first outer
-    iteration starts its search there, and each later one at the
-    Barzilai-Borwein quotient rounded up to the grid phi0 * 2^(j/4),
-    which keeps round-off from steering the iterates; the search doubles
-    the curvature until the proposal decreases the objective
-    sufficiently.  tol is the l2 stopping threshold on successive
-    iterates, and max_outer and max_inner the outer iteration and
-    per-iteration curvature escalation budgets.
-
-    kkt_tol is an early stop on the subgradient optimality residual: an
-    iterate that already satisfies the optimality conditions to kkt_tol
-    ends the fit before its steps fall below tol.
-    """
-
-    phi0: float = 0.1
-    tol: float = 1e-6
-    kkt_tol: float = 1e-6
-    max_outer: int = 5000
-    max_inner: int = 60
-
-    def __post_init__(self):
-        if not self.phi0 > 0:
-            raise DimensionError("phi0 must be positive")
-        if not self.tol > 0:
-            raise DimensionError("tol must be positive")
+# Outer iteration budget, and curvature escalations allowed per iteration.
+_MAX_OUTER = 5000
+_MAX_INNER = 60
 
 
 @dataclass(frozen=True)
@@ -160,7 +143,7 @@ def _kkt_from_gradient(g, theta, lam_sigma):
     return float(res.max()) if res.size else 0.0
 
 
-def _lamm_minimize(loss, theta0, lam_sigma, cfg):
+def _lamm_minimize(loss, theta0, lam_sigma):
     """Run the majorize-minimize loop on a smooth loss plus l1 penalty.
 
     ``loss`` is any object whose ``value(theta)`` returns the loss at
@@ -169,7 +152,7 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     outer_iters, converged, trace, escalations, carry): the penalized
     objective at theta0 and after each outer iteration, the number of
     rejected proposals, and what ``value`` returned at theta for its
-    gradient.
+    gradient.  The module constants are read at call time.
     """
     theta = np.array(theta0, dtype=float)
     f0, carry = loss.value(theta)
@@ -177,36 +160,34 @@ def _lamm_minimize(loss, theta0, lam_sigma, cfg):
     trace = [obj]
     converged = False
     outer = escalations = 0
-    phi = cfg.phi0
-    for outer_next in range(1, cfg.max_outer + 1):
+    phi = _PHI0
+    for outer_next in range(1, _MAX_OUTER + 1):
         g = loss.gradient(carry)
-        if _kkt_from_gradient(g, theta, lam_sigma) <= cfg.kkt_tol:
+        if _kkt_from_gradient(g, theta, lam_sigma) <= _KKT_TOL:
             converged = True
             break
         if outer:
             q = float(delta @ (g - g_prev)) / float(delta @ delta)
-            phi = cfg.phi0 * 2.0 ** (math.ceil(4 * math.log2(max(1.0, q / cfg.phi0))) / 4)
+            phi = _PHI0 * 2.0 ** (math.ceil(4 * math.log2(max(1.0, q / _PHI0))) / 4)
         outer = outer_next
         g_prev = g
-        accepted = None
-        for _ in range(cfg.max_inner):
+        for _ in range(_MAX_INNER):
             proposal = _shrink(theta - g / phi, lam_sigma / phi)
             f_new, carry_new = loss.value(proposal)
             delta = proposal - theta
             obj_new = f_new + float(lam_sigma @ np.abs(proposal))
             if obj_new <= obj - 0.5 * _SIGMA * phi * (delta @ delta):
-                accepted = (proposal, obj_new, carry_new, delta)
                 break
             phi *= _ESCALATION
             escalations += 1
-        if accepted is None:
+        else:
             raise InnerLoopStall(
-                f"no sufficient decrease found after {cfg.max_inner} curvature "
+                f"no sufficient decrease found after {_MAX_INNER} curvature "
                 "escalations; the loss is numerically broken"
             )
-        theta, obj, carry, delta = accepted
+        theta, obj, carry = proposal, obj_new, carry_new
         trace.append(obj)
-        if np.linalg.norm(delta) < cfg.tol:
+        if np.linalg.norm(delta) < _TOL:
             converged = True
             break
     return theta, outer, converged, tuple(trace), escalations, carry
@@ -217,26 +198,29 @@ def _mad(x):
     return float(np.median(np.abs(x - np.median(x))) * 1.4826)
 
 
-def warm_start_expectile(problem, lam, cfg=None):
+def _penalty(problem, lam):
+    """The coordinate penalties lam * sigma_hat, for 0 <= lam < inf."""
+    if not 0.0 <= lam < math.inf:
+        raise DimensionError(f"lam must be finite and non-negative, got {lam}")
+    return lam * problem.sigma_hat
+
+
+def warm_start_expectile(problem, lam):
     """Penalized Huberized expectile fit used as the solver warm start.
 
     The Huber cutoff is 5 * min(mad, sd) of the residuals at theta = 0,
     computed once and frozen.
     """
-    cfg = cfg or SolverConfig()
+    lam_sigma = _penalty(problem, lam)
     if problem.n < 2:
         raise DimensionError("warm start needs n >= 2")
-    r0 = problem.y
-    c = 5.0 * min(_mad(r0), float(np.std(r0)))
+    c = 5.0 * min(_mad(problem.y), float(np.std(problem.y)))
     if c <= 0.0:
         c = 1e-12
-    loss = _HuberExpectileLoss(problem, c)
-    theta0 = np.zeros(problem.dim)
-    theta = _lamm_minimize(loss, theta0, lam * problem.sigma_hat, cfg)[0]
-    return theta
+    return _lamm_minimize(_HuberExpectileLoss(problem, c), np.zeros(problem.dim), lam_sigma)[0]
 
 
-def fit_penalized(problem, lam, cfg=None, warm=None):
+def fit_penalized(problem, lam, warm=None):
     """Minimize the penalized smoothed quantile objective.
 
     Parameters
@@ -244,24 +228,20 @@ def fit_penalized(problem, lam, cfg=None, warm=None):
     problem : QuantileProblem
     lam : float
         Penalty level on the (1/n)-scaled objective; 0 <= lam < inf.
-    cfg : SolverConfig, optional
     warm : array, optional
         Starting point; defaults to the Huberized expectile warm start.
 
     Returns
     -------
     FaqrFit
-        With converged=False (best iterate kept) when the outer
-        iteration budget runs out before the step-size test passes.
+        With converged=False (best iterate kept) when _MAX_OUTER outer
+        iterations run out before either stop passes.
     """
-    cfg = cfg or SolverConfig()
-    if not 0.0 <= lam < math.inf:
-        raise DimensionError(f"lam must be finite and non-negative, got {lam}")
+    lam_sigma = _penalty(problem, lam)
     if warm is None:
-        warm = warm_start_expectile(problem, lam, cfg)
+        warm = warm_start_expectile(problem, lam)
     loss = _QuantileLoss(problem)
-    lam_sigma = lam * problem.sigma_hat
-    theta, outer, converged, trace, esc, psi = _lamm_minimize(loss, warm, lam_sigma, cfg)
+    theta, outer, converged, trace, esc, psi = _lamm_minimize(loss, warm, lam_sigma)
     return FaqrFit(
         theta_hat=theta,
         lam=float(lam),

@@ -14,12 +14,16 @@ and Hessian, the elementwise smoothed check loss, the kernel density,
 the KKT residual and soft-thresholding are views of faqr's own code (the
 kernel pass and the two helpers behind it, the solver's KKT helper and
 its shrink), so that the tests check that code through them.  No runtime path needs them.
+``solver_settings`` sets the solver's tolerances and budgets for a block.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from scipy import integrate
 
-from faqr import DimensionError, check_loss, kernel_pass
+from faqr import DimensionError, check_loss, kernel_pass, solver
 from faqr.smoothed_loss import _cdf_density, _terms
 from faqr.solver import _kkt_from_gradient, _shrink
 
@@ -70,6 +74,19 @@ def soft_threshold(v, t):
         raise DimensionError("thresholds must be non-negative")
     out = _shrink(v, t)
     return out if out.ndim else float(out)
+
+
+@contextmanager
+def solver_settings(**values):
+    """Set solver module constants for the block: phi0=... sets solver._PHI0.
+
+    Names are phi0, tol, kkt_tol, max_outer and max_inner; a misspelt
+    name raises, because the patch needs the constant to exist.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(solver, "_" + name.upper(), value)
+        yield
 
 
 def jacobi_eigh(a, max_sweeps=100, tol=1e-13):

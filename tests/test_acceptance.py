@@ -12,7 +12,6 @@ import pytest
 from faqr import (
     KernelSpec,
     QuantileProblem,
-    SolverConfig,
     fit_penalized,
     kernel_cdf,
     simulate_pivotal,
@@ -43,6 +42,7 @@ from oracles import (
     loss_value,
     prox_grad_reference,
     smoothed_check,
+    solver_settings,
 )
 
 REPS = 100
@@ -284,7 +284,8 @@ def test_criterion_8_oracle_equivalences():
     h = 0.25
     p = QuantileProblem(z, y, 0.5, KernelSpec("gaussian", h), n_factors=0)
     lam = 0.08
-    fit = fit_penalized(p, lam, SolverConfig(tol=1e-12, kkt_tol=1e-8, max_outer=20000))
+    with solver_settings(tol=1e-12, kkt_tol=1e-8, max_outer=20000):
+        fit = fit_penalized(p, lam)
     kspec = KernelSpec("gaussian", h)
     ref = prox_grad_reference(
         z, y, 0.5, lambda t: kernel_cdf(kspec, t), h, lam * p.sigma_hat,

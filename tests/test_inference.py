@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -268,6 +269,26 @@ class TestAdequacyTests:
         assert np.array_equal(r1.boot_stats, r2.boot_stats)
         assert r1.p_value == r2.p_value
         assert r1.method == "multiplier"
+
+    @pytest.mark.parametrize("tau", [0.1, 0.9])
+    def test_multiplier_replicates_match_the_residual_bootstrap_off_the_median(self, tau):
+        # a null panel whose gaussian noise is shifted to its tau-quantile, so
+        # that the factor-only model (which has no intercept) holds at tau.
+        # The multiplier replicates score psi = Kbar(-e/h) - tau as the
+        # observed statistic does; tau - Kbar(e/h), whose mean is 2 tau - 1,
+        # put their median at 3.6 (tau 0.1) and 3.1 (tau 0.9) times the
+        # residual bootstrap's here, against 1.16 and 1.00 now
+        n, d = 200, 200
+        spec = sparse_signal_spec(n=n, d=d, signal=(0.0, 0.0, 0.0), replicate_seed=0)
+        data = generate_dgp(spec)[0]
+        data = DataMatrix(x=data.x, y=data.y - 0.5 * NormalDist().inv_cdf(tau))
+        fm = estimate_factors(data, 2)
+        k = KernelSpec("gaussian", default_bandwidth(n, d, 2, tau))
+        mult = adequacy_test_multiplier(data, fm, tau, k, 200, seed=1)
+        res = adequacy_test_residual(data, fm, tau, k, 200, seed=1,
+                                     full_fit=full_fit(data, fm, k, tau))
+        ratio = np.median(mult.boot_stats) / np.median(res.boot_stats)
+        assert 0.7 <= ratio <= 1.4
 
     def test_residual_determinism(self):
         data, fm, k = benchmark_pieces(n=80, d=25, seed=10)

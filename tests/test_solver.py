@@ -6,9 +6,9 @@ from faqr import (
     InnerLoopStall,
     KernelSpec,
     QuantileProblem,
-    SolverConfig,
     fit_penalized,
     kernel_cdf,
+    solver,
     warm_start_expectile,
 )
 from faqr.harness import NoiseSpec, generate_dgp, sparse_signal_spec
@@ -27,9 +27,10 @@ from oracles import (
     majorization_holds,
     prox_grad_reference,
     soft_threshold,
+    solver_settings,
 )
 
-TIGHT = SolverConfig(tol=1e-12, kkt_tol=1e-8, max_outer=20000)
+TIGHT = dict(tol=1e-12, kkt_tol=1e-8, max_outer=20000)
 
 
 @pytest.fixture
@@ -155,7 +156,8 @@ class TestFitPenalized:
         p = QuantileProblem(
             np.ones((60, 1)), y, 0.5, KernelSpec("gaussian", 0.3), sigma_hat=np.ones(1)
         )
-        fit = fit_penalized(p, 0.0, TIGHT)
+        with solver_settings(**TIGHT):
+            fit = fit_penalized(p, 0.0)
         ref = golden_section(
             lambda th: loss_value(p, np.array([th])), y.min() - 1, y.max() + 1
         )
@@ -170,7 +172,8 @@ class TestFitPenalized:
         h = 0.25
         p = QuantileProblem(z, y, 0.5, KernelSpec("gaussian", h), n_factors=0)
         lam = 0.08
-        fit = fit_penalized(p, lam, TIGHT)
+        with solver_settings(**TIGHT):
+            fit = fit_penalized(p, lam)
         k = KernelSpec("gaussian", h)
         ref = prox_grad_reference(
             z, y, 0.5, lambda t: kernel_cdf(k, t), h, lam * p.sigma_hat,
@@ -180,21 +183,23 @@ class TestFitPenalized:
 
     @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
     def test_rejects_a_negative_or_non_finite_lambda(self, lam):
-        with pytest.raises(DimensionError):
-            fit_penalized(make_problem(seed=7), lam)
+        p = make_problem(seed=7)
+        for entry in (fit_penalized, warm_start_expectile):
+            with pytest.raises(DimensionError, match="lam must be finite and non-negative"):
+                entry(p, lam)
 
     def test_max_iters_flag(self):
         p = make_problem(seed=10)
-        cfg = SolverConfig(max_outer=1, tol=1e-16, kkt_tol=1e-18)
-        fit = fit_penalized(p, 0.01, cfg, warm=np.zeros(p.dim))
+        with solver_settings(max_outer=1, tol=1e-16, kkt_tol=1e-18):
+            fit = fit_penalized(p, 0.01, warm=np.zeros(p.dim))
         assert not fit.converged
         assert fit.n_outer_iters == 1
 
     def test_inner_loop_stall_raises(self):
         p = make_problem(seed=11)
-        cfg = SolverConfig(max_inner=1, phi0=1e-12, tol=1e-12, kkt_tol=1e-18)
-        with pytest.raises(InnerLoopStall):
-            fit_penalized(p, 0.01, cfg, warm=np.full(p.dim, 3.0))
+        with (solver_settings(max_inner=1, phi0=1e-12, tol=1e-12, kkt_tol=1e-18),
+              pytest.raises(InnerLoopStall)):
+            fit_penalized(p, 0.01, warm=np.full(p.dim, 3.0))
 
     def test_escalations_count_the_rejected_proposals(self, residual_calls):
         # phi0 far below the loss curvature: the searches must double their
@@ -202,8 +207,8 @@ class TestFitPenalized:
         # forms one residual vector, and the start point one more, so the
         # counts add up exactly; the reported KKT residual reuses the last one.
         p = make_problem(seed=11)
-        cfg = SolverConfig(phi0=1e-12, tol=1e-8, kkt_tol=1e-6)
-        fit = fit_penalized(p, 0.01, cfg, warm=np.full(p.dim, 3.0))
+        with solver_settings(phi0=1e-12, tol=1e-8, kkt_tol=1e-6):
+            fit = fit_penalized(p, 0.01, warm=np.full(p.dim, 3.0))
         assert fit.converged
         assert fit.n_escalations >= 30
         assert len(residual_calls) == fit.n_outer_iters + fit.n_escalations + 1
@@ -228,8 +233,8 @@ class TestFitPenalized:
         p = make_problem(n=80, dim=6, seed=12)
         k_max = 1.0 / np.sqrt(2 * np.pi)  # gaussian kernel maximum
         lipschitz = (k_max / p.kernel.h) * np.linalg.eigvalsh(p.z_hat.T @ p.z_hat / p.n).max()
-        cfg = SolverConfig(phi0=1.1 * lipschitz, tol=1e-8, kkt_tol=1e-6)
-        fit = fit_penalized(p, 0.05, cfg, warm=np.zeros(p.dim))
+        with solver_settings(phi0=1.1 * lipschitz, tol=1e-8, kkt_tol=1e-6):
+            fit = fit_penalized(p, 0.05, warm=np.zeros(p.dim))
         assert fit.converged
         assert fit.n_outer_iters > 10
         assert fit.n_escalations == 0
@@ -247,8 +252,9 @@ class TestFitPenalized:
         z2[:, 2] *= c
         p2 = QuantileProblem(z2, y, 0.5, k, n_factors=0)
         lam = 0.05
-        fit1 = fit_penalized(p1, lam, TIGHT)
-        fit2 = fit_penalized(p2, lam, TIGHT)
+        with solver_settings(**TIGHT):
+            fit1 = fit_penalized(p1, lam)
+            fit2 = fit_penalized(p2, lam)
         assert np.abs(z @ fit1.theta_hat - z2 @ fit2.theta_hat).max() <= 1e-6
         assert abs(fit2.theta_hat[2] * c - fit1.theta_hat[2]) <= 1e-6
 
@@ -273,9 +279,9 @@ class _SeenIterates:
 def _descent_cases():
     for seed, tau, family in _INSTANCES:
         p = make_problem(n=80, dim=6, tau=tau, seed=seed, family=family)
-        yield p, 0.05, SolverConfig(), warm_start_expectile(p, 0.05)
+        yield p, 0.05, {}, warm_start_expectile(p, 0.05)
     p = make_problem(seed=11)  # the far start of the escalation count test
-    yield p, 0.01, SolverConfig(phi0=1e-12, tol=1e-8, kkt_tol=1e-6), np.full(p.dim, 3.0)
+    yield p, 0.01, dict(phi0=1e-12, tol=1e-8, kkt_tol=1e-6), np.full(p.dim, 3.0)
 
 
 class TestSufficientDecrease:
@@ -283,10 +289,12 @@ class TestSufficientDecrease:
         # each accepted step satisfies F(theta_k+1) <= F(theta_k) - (sigma/2)
         # phi ||theta_k+1 - theta_k||^2 at its curvature phi >= phi0, and the
         # trace holds F at each accepted iterate
-        for p, lam, cfg, theta0 in _descent_cases():
+        for p, lam, settings, theta0 in _descent_cases():
             loss = _SeenIterates(p)
             lam_sigma = lam * p.sigma_hat
-            theta, outer, converged, trace, _, _ = _lamm_minimize(loss, theta0, lam_sigma, cfg)
+            with solver_settings(**settings):
+                theta, outer, converged, trace, _, _ = _lamm_minimize(loss, theta0, lam_sigma)
+                phi0 = solver._PHI0
             thetas = loss.seen if loss.seen[-1] is theta else loss.seen + [theta]
             assert converged
             assert outer > 0
@@ -295,7 +303,7 @@ class TestSufficientDecrease:
                 assert loss_value(p, t) + float(lam_sigma @ np.abs(t)) == f
             for k in range(outer):
                 step = thetas[k + 1] - thetas[k]
-                assert trace[k] - trace[k + 1] >= 0.5 * _SIGMA * cfg.phi0 * (step @ step)
+                assert trace[k] - trace[k + 1] >= 0.5 * _SIGMA * phi0 * (step @ step)
 
 
 class TestWarmStart:
@@ -310,7 +318,8 @@ class TestWarmStart:
         y = rng.uniform(-1.0, 1.0, n)  # bounded, so no residual exceeds the cutoff
         p = QuantileProblem(z, y, 0.5, KernelSpec("gaussian", 0.4), n_factors=0)
         lam = 0.02
-        theta = warm_start_expectile(p, lam, TIGHT)
+        with solver_settings(**TIGHT):
+            theta = warm_start_expectile(p, lam)
         c = 5.0 * min(
             np.median(np.abs(y - np.median(y))) * 1.4826, float(np.std(y))
         )
@@ -323,7 +332,8 @@ class TestWarmStart:
         p = QuantileProblem(
             np.ones((5, 1)), y, 0.5, KernelSpec("gaussian", 0.4), sigma_hat=np.ones(1)
         )
-        theta = warm_start_expectile(p, 0.0, TIGHT)
+        with solver_settings(**TIGHT):
+            theta = warm_start_expectile(p, 0.0)
         assert abs(theta[0] - 3.0) <= 1e-6
 
 
@@ -357,7 +367,8 @@ class TestCarriedCurvature:
         p = QuantileProblem(z, y, tau, kernel, n_factors=m)
         lam = select_lambda(p, LambdaRule(seed=0))
         fit = fit_penalized(p, lam)
-        ref = fit_penalized(p, lam, SolverConfig(tol=1e-10, kkt_tol=1e-10))
+        with solver_settings(tol=1e-10, kkt_tol=1e-10):
+            ref = fit_penalized(p, lam)
         assert fit.converged
         assert fit.support == ref.support
         assert abs(fit.final_objective - ref.final_objective) <= 1e-8
