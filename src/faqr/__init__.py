@@ -8,6 +8,12 @@ simulation, and the adequacy of the factor-only model is testable by
 multiplier or residual bootstrap.
 """
 
+import os
+
+# One BLAS thread, set before anything here loads numpy: a threaded BLAS sums
+# in an order that depends on its thread count, and so would the output bytes.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 __version__ = "0.1.0"
 
 from .errors import (

@@ -5,10 +5,18 @@ Numeric CSV cells are written with shortest round-trip formatting
 bit-exactly.  Randomized outputs embed {seed, rng algorithm, package
 version} as '#'-prefixed header lines in CSV and a "meta" object in
 JSON; loaders skip comment lines.
+
+``load_csv`` splits off the header, the blank and the comment lines
+once, then parses the data lines with one ``np.loadtxt`` call.  Only
+when that call fails, or reads a non-finite value, does a loop parse
+the lines again cell by cell with ``float``: it accepts what ``float``
+accepts (quoted cells, ``1_0``) and reports the first bad cell with
+its line and column.
 """
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -28,64 +36,33 @@ def metadata(seed):
     return {"seed": None if seed is None else int(seed), "rng": ALGORITHM, "version": __version__}
 
 
-def load_csv(path, response_column=None, has_header=True):
-    """Load a numeric CSV into a DataMatrix.
+def _records(fh):
+    """Yield (number, text, cells) of each record of a file opened with newline="".
 
-    Parameters
-    ----------
-    path : str
-    response_column : str | int | None
-        Column to extract as the response, by name (requires a header)
-        or 0-based index; None keeps every column as a covariate.
-    has_header : bool
-
-    Raises
-    ------
-    ParseError
-        On ragged rows or cells that do not parse as decimals; carries
-        the 1-based file line and column.
-    MissingValue
-        On empty or non-finite cells (no imputation is performed).
+    A record is a line, ended where csv.reader ends one (\\r, \\n or
+    \\r\\n), and cells is None: its cells are its text split at commas.
+    A line with a quote character goes to csv.reader, which may read
+    on through a quoted line break; its text is then the cells joined
+    by commas.  Records are numbered as csv.reader's rows are.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        rows = []
-        line_nos = []
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if has_header and header is None:
-                header = [c.strip() for c in row]
-                continue
-            rows.append(row)
-            line_nos.append(line_no)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    width = len(rows[0])
-    if header is not None and len(header) != width:
-        raise ParseError(f"{path}: header has {len(header)} fields, rows have {width}")
+    for number, line in enumerate(fh, start=1):
+        if '"' in line:
+            cells = next(csv.reader(itertools.chain([line], fh)))
+            yield number, ",".join(cells), cells
+        else:
+            yield number, line.rstrip("\r\n"), None
 
-    if response_column is None:
-        resp_idx = None
-    elif isinstance(response_column, str) and not response_column.lstrip("-").isdigit():
-        if header is None:
-            raise ParseError(f"{path}: response column by name needs a header row")
-        try:
-            resp_idx = header.index(response_column)
-        except ValueError:
-            raise ParseError(
-                f"{path}: no column named {response_column!r} in header {header}"
-            ) from None
-    else:
-        resp_idx = int(response_column)
-        if not 0 <= resp_idx < width:
-            raise ParseError(f"{path}: response index {resp_idx} out of range [0, {width})")
 
-    values = np.empty((len(rows), width))
-    for i, (row, line_no) in enumerate(zip(rows, line_nos)):
+def _cells(record):
+    _, text, cells = record
+    return text.split(",") if cells is None else cells
+
+
+def _parse_cells(path, records, width):
+    """Parse the data records cell by cell; raise at the first bad one."""
+    values = np.empty((len(records), width))
+    for i, record in enumerate(records):
+        line_no, row = record[0], _cells(record)
         if len(row) != width:
             raise ParseError(
                 f"{path}: line {line_no} has {len(row)} fields, expected {width}",
@@ -111,6 +88,70 @@ def load_csv(path, response_column=None, has_header=True):
                     line=line_no, column=j + 1,
                 )
             values[i, j] = v
+    return values
+
+
+def load_csv(path, response_column=None, has_header=True):
+    """Load a numeric CSV into a DataMatrix.
+
+    Parameters
+    ----------
+    path : str
+    response_column : str | int | None
+        Column to extract as the response, by name (requires a header)
+        or 0-based index; None keeps every column as a covariate.
+    has_header : bool
+
+    Raises
+    ------
+    ParseError
+        On ragged rows or cells that do not parse as decimals; carries
+        the 1-based file line and column.
+    MissingValue
+        On empty or non-finite cells (no imputation is performed).
+    """
+    with open(path, newline="") as fh:
+        header = None
+        records = []
+        for record in _records(fh):
+            text = record[1]
+            if not text.strip() or text.lstrip().startswith("#"):
+                continue
+            if has_header and header is None:
+                header = [c.strip() for c in _cells(record)]
+                continue
+            records.append(record)
+    if not records:
+        raise ParseError(f"{path}: no data rows")
+    width = len(_cells(records[0]))
+    if header is not None and len(header) != width:
+        raise ParseError(f"{path}: header has {len(header)} fields, rows have {width}")
+
+    if response_column is None:
+        resp_idx = None
+    elif isinstance(response_column, str) and not response_column.lstrip("-").isdigit():
+        if header is None:
+            raise ParseError(f"{path}: response column by name needs a header row")
+        try:
+            resp_idx = header.index(response_column)
+        except ValueError:
+            raise ParseError(
+                f"{path}: no column named {response_column!r} in header {header}"
+            ) from None
+    else:
+        resp_idx = int(response_column)
+        if not 0 <= resp_idx < width:
+            raise ParseError(f"{path}: response index {resp_idx} out of range [0, {width})")
+
+    values = None
+    if all(cells is None for _, _, cells in records):
+        try:
+            values = np.loadtxt([text for _, text, _ in records], delimiter=",",
+                                comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(records), width) or not np.isfinite(values).all():
+        values = _parse_cells(path, records, width)
 
     if resp_idx is None:
         names = tuple(header) if header else None

@@ -15,15 +15,20 @@ the KKT residual and soft-thresholding are views of faqr's own code (the
 kernel pass and the two helpers behind it, the solver's KKT helper and
 its shrink), so that the tests check that code through them.  No runtime path needs them.
 ``solver_settings`` sets the solver's tolerances and budgets for a block.
+``load_csv_by_cells`` is the CSV reader as a plain loop: csv.reader
+splits the file and float() parses each cell.
 """
 
+import csv
+import math
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from faqr import DimensionError, check_loss, kernel_pass, solver
+from faqr import DimensionError, MissingValue, ParseError, check_loss, kernel_pass, solver
+from faqr.factor_model import DataMatrix
 from faqr.smoothed_loss import _cdf_density, _terms
 from faqr.solver import _kkt_from_gradient, _shrink
 
@@ -256,3 +261,60 @@ def majorization_holds(problem, theta_new, theta_prev, phi, slack=1e-12):
     delta = np.asarray(theta_new, dtype=float) - np.asarray(theta_prev, dtype=float)
     surrogate = f_prev + g @ delta + 0.5 * phi * (delta @ delta)
     return bool(surrogate >= f_new - slack)
+
+
+def load_csv_by_cells(path, response_column=None, has_header=True):
+    """faqr.harness.io.load_csv as one loop over csv.reader's rows and cells."""
+    with open(path, newline="") as fh:
+        header, rows = None, []
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if has_header and header is None:
+                header = [c.strip() for c in row]
+                continue
+            rows.append((line_no, row))
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    if header is not None and len(header) != width:
+        raise ParseError(f"{path}: header has {len(header)} fields, rows have {width}")
+    if response_column is None:
+        resp_idx = None
+    elif isinstance(response_column, str) and not response_column.lstrip("-").isdigit():
+        if header is None:
+            raise ParseError(f"{path}: response column by name needs a header row")
+        if response_column not in header:
+            raise ParseError(f"{path}: no column named {response_column!r} in header {header}")
+        resp_idx = header.index(response_column)
+    else:
+        resp_idx = int(response_column)
+        if not 0 <= resp_idx < width:
+            raise ParseError(f"{path}: response index {resp_idx} out of range [0, {width})")
+    values = np.empty((len(rows), width))
+    for i, (line_no, row) in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"{path}: line {line_no} has {len(row)} fields, expected {width}",
+                             line=line_no)
+        for j, cell in enumerate(row):
+            where = dict(line=line_no, column=j + 1)
+            if not cell.strip():
+                raise MissingValue(f"{path}: empty cell at line {line_no}, column {j + 1}",
+                                   **where)
+            try:
+                v = float(cell.strip())
+            except ValueError:
+                raise ParseError(f"{path}: cannot parse {cell!r} at line {line_no}, "
+                                 f"column {j + 1}", **where) from None
+            if not math.isfinite(v):
+                raise MissingValue(f"{path}: non-finite value {cell!r} at line {line_no}, "
+                                   f"column {j + 1}", **where)
+            values[i, j] = v
+    names = None if header is None else tuple(header)
+    if resp_idx is None:
+        return DataMatrix(x=values, y=None, column_names=names)
+    keep = [k for k in range(width) if k != resp_idx]
+    names = None if names is None else tuple(names[k] for k in keep)
+    return DataMatrix(x=values[:, keep], y=values[:, resp_idx], column_names=names)

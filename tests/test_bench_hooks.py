@@ -128,3 +128,19 @@ def test_benchmark_cli_jobs_parse():
         assert plain[1:3] == ["-m", "faqr.harness.cli"]
         for argv in (plain[3:], traced[traced.index("cli") + 1:]):
             assert parser.parse_args(argv).command == args[0]
+
+
+def test_benchmark_panel_skips_the_cell_loop(tmp_path, monkeypatch):
+    """The benchmark's panel file, written with repr cells, parses on the vectorized route."""
+    inputs = _load_bench("inputs")
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((40, 6)), rng.standard_normal(40)
+    path = tmp_path / "panel.csv"
+    inputs.write_csv(path, x, y)
+
+    def no_cell_loop(*args):
+        raise AssertionError("cell loop called")
+
+    monkeypatch.setattr(faqr.harness.io, "_parse_cells", no_cell_loop)
+    data = faqr.harness.load_csv(path, response_column="y")
+    assert np.array_equal(data.x, x) and np.array_equal(data.y, y)

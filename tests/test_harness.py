@@ -34,10 +34,13 @@ from faqr.harness import (
 from faqr.harness import simulate
 from faqr.harness.backtest import prediction_metrics
 from faqr.harness.dgp import DgpSpec, DgpTruth
+from faqr.harness import io as hio
 from faqr.harness.io import write_matrix_csv
 from faqr.harness.cli import main as cli_main
 from faqr.harness.pipeline import factor_step, run_adequacy
 from faqr.rng import derive_seed
+
+from oracles import load_csv_by_cells
 
 
 def dummy_fit(beta, m=0):
@@ -334,7 +337,79 @@ class TestDesign:
         assert res.predict(x_new[0]) == x[0] @ res.fit.theta_hat
 
 
+# Inputs on which load_csv must agree with the cell loop: (file text, keywords)
+_READER_CASES = {
+    "quoted cells": ('"a","b"\n"1.5",2\n3," 4e-3 "\n', {}),
+    "quoted comma": ('a,b\n"1,5",2\n3,4\n', {}),
+    "quoted line break": ('a,b\n"1\n",2\n3,4\n', {}),
+    "quote opened in a comment": ('# note,"open\na,b\n1,2\n', {}),
+    "underscore digits": ("a,b\n1_0,2\n3,4_5\n", {}),
+    "crlf": ("# seed=1\r\na,b\r\n1,2\r\n3,4\r\n", {}),
+    "lone cr": ("a,b\r1,2\r\r3,4\r", {}),
+    "form feed in a cell": ("a,b\n1\x0c,2\n3,\x0c4\n", {}),
+    "line separator in a cell": ("a,b\n1\u2028,2\n3,4\n", {}),
+    "trailing comma": ("a,b\n1,2,\n3,4,\n", {}),
+    "trailing comma, header too": ("a,b,\n1,2,\n3,4,\n", {}),
+    "whitespace-only line": ("a,b\n1,2\n \t \n3,4\n", {}),
+    "spaces around a comma": ("a,b\n1,2\n , \n3,4\n", {}),
+    "indented comments": ("a,b\n1,2\n   # note, with a comma\n\t#x\n3,4\n", {}),
+    "header wider than rows": ("a,b,c\n1,2\n3,4\n", {}),
+    "header narrower than rows": ("a\n1,2\n3,4\n", {}),
+    "ragged row": ("a,b\n1,2\n3\n", {}),
+    "inf in the first cell": ("a,b\ninf,2\n3,4\n", {}),
+    "NaN in the last cell": ("a,b\n1,2\n3,NaN\n", {}),
+    "-Infinity in the last cell": ("a,b\n1,2\n3,-Infinity", {}),
+    "empty cell": ("a,b\n1,\n3,4\n", {}),
+    "garbage cell": ("a,b\n1,2\n0x10,4\n", {}),
+    "one row": ("a,y,b\n1.5,-2e3,3\n", {"response_column": "y"}),
+    "two rows": ("a,y,b\n1.5,-2e3,3\n4,5,6\n", {"response_column": "y"}),
+    "one column": ("a\n1\n2\n3\n", {}),
+    "no header": ("1,2\n3,4\n", {"has_header": False, "response_column": 1}),
+    "no header, name asked": ("1,2\n3,4\n", {"has_header": False, "response_column": "y"}),
+    "unknown name": ("a,b\n1,2\n", {"response_column": "y"}),
+    "index out of range": ("a,b\n1,2\n", {"response_column": "2"}),
+    "no data rows": ("a,b\n# only a comment\n", {}),
+}
+
+
+def _read(load, path, **kwargs):
+    """The arrays' bytes and the names load gives, or its error's type, text and place."""
+    try:
+        data = load(path, **kwargs)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    arrays = [None if a is None else (a.shape, a.tobytes()) for a in (data.x, data.y)]
+    return arrays, data.column_names
+
+
 class TestLoadCsv:
+    @pytest.mark.parametrize("case", list(_READER_CASES))
+    def test_agrees_with_the_cell_loop(self, tmp_path, monkeypatch, case):
+        # load_csv, with and without its vectorized route, gives what the
+        # plain csv.reader loop gives, bit for bit and error for error
+        text, kwargs = _READER_CASES[case]
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        expected = _read(load_csv_by_cells, path, **kwargs)
+        assert _read(load_csv, path, **kwargs) == expected
+
+        def no_loadtxt(*args, **kwargs):
+            raise ValueError("vectorized route off")
+
+        monkeypatch.setattr(hio.np, "loadtxt", no_loadtxt)
+        assert _read(load_csv, path, **kwargs) == expected
+
+    def test_a_well_formed_file_skips_the_cell_loop(self, tmp_path, monkeypatch):
+        def no_cell_loop(*args):
+            raise AssertionError("cell loop called")
+
+        monkeypatch.setattr(hio, "_parse_cells", no_cell_loop)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 5))
+        path = tmp_path / "d.csv"
+        write_matrix_csv(path, x, header=[f"c{j}" for j in range(5)], meta={"seed": 1})
+        assert np.array_equal(load_csv(path, response_column="c2").y, x[:, 2])
+
     def test_happy_path_with_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,y,b\n1,2,3\n4,5,6\n7,8,9\n")
@@ -697,6 +772,26 @@ class TestCli:
         assert cli_main(args + ["--out", str(out1)]) == 0
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fit_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # faqr pins BLAS to one thread when it loads; without the pin, a
+        # two-thread OpenBLAS splits this 120x100 panel's Gram product and
+        # the fit's last digits move
+        data, _ = generate_dgp(sparse_signal_spec(n=120, d=100, replicate_seed=2))
+        path = tmp_path / "panel.csv"
+        write_matrix_csv(path, np.column_stack([data.y, data.x]),
+                         header=["y"] + [f"x{j}" for j in range(100)])
+        src = os.path.dirname(os.path.dirname(faqr.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fit{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "faqr.harness.cli", "fit", "--data", str(path),
+                            "--response", "y", "--factors", "auto", "--seed", "1",
+                            "--out", str(out)], env=env, check=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_backtest_bytes_do_not_depend_on_threads(self, csv_path, tmp_path):
         outs = []

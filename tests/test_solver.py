@@ -260,7 +260,10 @@ class TestFitPenalized:
 
 
 class _SeenIterates:
-    """The quantile loss, carrying theta with psi so that gradient sees each accepted iterate."""
+    """The quantile loss, carrying theta with psi so that gradient sees each accepted iterate.
+
+    ``seen`` holds (theta, gradient) of each accepted iterate, in order.
+    """
 
     def __init__(self, problem):
         self.loss = _QuantileLoss(problem)
@@ -272,8 +275,34 @@ class _SeenIterates:
 
     def gradient(self, carry):
         theta, psi = carry
-        self.seen.append(theta)
-        return self.loss.gradient(psi)
+        g = self.loss.gradient(psi)
+        self.seen.append((theta, g))
+        return g
+
+
+def _step_curvature(theta, g, theta_new, lam_sigma):
+    """The phi of the step theta_new = shrink(theta - g / phi, lam_sigma / phi).
+
+    Read off the coordinate that moved most among those left nonzero,
+    where theta_new_j - theta_j = -(g_j + lam_sigma_j sign theta_new_j) / phi.
+    """
+    step = theta_new - theta
+    free = np.flatnonzero((theta_new != 0.0) & (step != 0.0))
+    j = free[np.argmax(np.abs(step[free]))]
+    return -(g[j] + lam_sigma[j] * np.sign(theta_new[j])) / step[j]
+
+
+class _Quadratic:
+    """The loss (c/2) ||theta||^2, whose gradient c theta is its own carry."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, theta):
+        return 0.5 * self.c * float(theta @ theta), theta
+
+    def gradient(self, theta):
+        return self.c * theta
 
 
 def _descent_cases():
@@ -287,15 +316,18 @@ def _descent_cases():
 class TestSufficientDecrease:
     def test_every_accepted_step_decreases_the_objective_sufficiently(self):
         # each accepted step satisfies F(theta_k+1) <= F(theta_k) - (sigma/2)
-        # phi ||theta_k+1 - theta_k||^2 at its curvature phi >= phi0, and the
-        # trace holds F at each accepted iterate
+        # phi ||theta_k+1 - theta_k||^2 at the curvature phi >= phi0 it was
+        # proposed with, read back from the step, and the trace holds F at
+        # each accepted iterate
         for p, lam, settings, theta0 in _descent_cases():
             loss = _SeenIterates(p)
             lam_sigma = lam * p.sigma_hat
             with solver_settings(**settings):
                 theta, outer, converged, trace, _, _ = _lamm_minimize(loss, theta0, lam_sigma)
                 phi0 = solver._PHI0
-            thetas = loss.seen if loss.seen[-1] is theta else loss.seen + [theta]
+            thetas = [t for t, _ in loss.seen]
+            if thetas[-1] is not theta:
+                thetas.append(theta)
             assert converged
             assert outer > 0
             assert len(thetas) == len(trace) == outer + 1
@@ -303,7 +335,22 @@ class TestSufficientDecrease:
                 assert loss_value(p, t) + float(lam_sigma @ np.abs(t)) == f
             for k in range(outer):
                 step = thetas[k + 1] - thetas[k]
-                assert trace[k] - trace[k + 1] >= 0.5 * _SIGMA * phi0 * (step @ step)
+                phi = _step_curvature(thetas[k], loss.seen[k][1], thetas[k + 1], lam_sigma)
+                assert phi >= phi0 * (1 - 1e-9)
+                assert trace[k] - trace[k + 1] >= 0.5 * _SIGMA * phi * (step @ step)
+
+    def test_a_step_that_lowers_the_objective_too_little_is_rejected(self):
+        # on (c/2) theta^2 a step at curvature phi lowers the objective by
+        # (2 - c/phi) (phi/2) ||delta||^2; with c = phi0 (2 - sigma/2) the
+        # first proposal, at phi0, lowers it by half the sufficient amount,
+        # so the loop must raise its curvature before it moves (sigma is the
+        # documented 1e-4, written out so that the constant is checked too)
+        c = solver._PHI0 * (2 - 1e-4 / 2)
+        theta, outer, converged, trace, escalations, _ = _lamm_minimize(
+            _Quadratic(c), np.ones(1), np.zeros(1))
+        assert converged and outer >= 1
+        assert escalations >= 1
+        assert np.all(np.diff(trace) < 0)
 
 
 class TestWarmStart:
